@@ -1,6 +1,6 @@
 // Ablation studies for the design choices Section IV-F discusses and the
-// mechanisms DESIGN.md calls out. Not figures from the paper, but the
-// experiments behind its design narrative:
+// mechanisms README's "Benchmarks" section lists. Not figures from the
+// paper, but the experiments behind its design narrative:
 //
 //   1. Snapshot mechanism: ArchRS (chosen) vs PhyRS (full PRF + RAT
 //      spills, "too much snapshot spilling") vs LRS (lazy spill, but the

@@ -3,7 +3,7 @@
 //
 // An access walks IL1/DL1 -> L2 -> DRAM and returns the composed latency in
 // cycles. Latencies are deterministic per access (no bank/MSHR contention
-// model); see DESIGN.md §6.
+// model); see README "Timing model".
 #pragma once
 
 #include <array>

@@ -220,19 +220,26 @@ void Pipeline::process_impl(const DynOp& op) {
   if constexpr (kNotify)
     on_retire(op, OpTimestamps{f, rn, iss, complete, cm});
 
+  // Each limiter is pruned at its own lower bound on every request it will
+  // see from now on. Each bound only rises, so pruning at it is exact:
+  //  - fetch never starts before fetch_floor_;
+  //  - rename waits for the commit of the instruction a full ROB back
+  //    (rob_.free_at()), and issue, ports and FUs all follow rename;
+  //  - commit is in order, so retire never goes below last_commit_.
+  // Each ring then spans only the cycles still in flight, not the run.
+  const Cycle rob_floor = rob_.free_at();
+  fetch_slots_.prune(fetch_floor_);
+  rename_slots_.prune(rob_floor);
+  issue_slots_.prune(rob_floor);
+  load_ports_.prune(rob_floor);
+  store_ports_.prune(rob_floor);
+  alu_.prune(rob_floor);
+  mul_.prune(rob_floor);
+  fpu_.prune(rob_floor);
+  retire_slots_.prune(last_commit_);
+
   ++processed_;
   if ((processed_ & 0xffff) == 0) {
-    // All future allocations request cycles >= fetch_floor_.
-    const Cycle floor = std::min(fetch_floor_, rename_floor_);
-    fetch_slots_.prune(floor);
-    rename_slots_.prune(floor);
-    issue_slots_.prune(floor);
-    load_ports_.prune(floor);
-    store_ports_.prune(floor);
-    alu_.prune(floor);
-    mul_.prune(floor);
-    fpu_.prune(floor);
-    retire_slots_.prune(floor);
     // Keep the store buffer from growing without bound: entries whose commit
     // is long past can no longer forward.
     if (store_buffer_.size() > 4096) {
@@ -409,6 +416,13 @@ void Pipeline::run_until(Cycle target) {
 }
 
 bool Pipeline::halted() const { return core_->halted(); }
+
+usize Pipeline::max_limiter_capacity() const {
+  return std::max({fetch_slots_.capacity(), rename_slots_.capacity(),
+                   issue_slots_.capacity(), load_ports_.capacity(),
+                   store_ports_.capacity(), alu_.capacity(), mul_.capacity(),
+                   fpu_.capacity(), retire_slots_.capacity()});
+}
 
 StatSet PipelineStats::export_stats() const {
   StatSet s;

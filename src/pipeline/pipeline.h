@@ -6,7 +6,7 @@
 // issue-queue / LSQ / physical-register occupancy, functional-unit
 // contention, cache latencies, and branch prediction.
 //
-// Modeling approach (see DESIGN.md §6): the correct path executes
+// Modeling approach (see README "Timing model"): the correct path executes
 // functionally; ordinary-branch mispredictions appear as fetch-redirect
 // bubbles (fetch resumes after the branch resolves). SeMPE secure regions
 // never speculate, so their timing — the three pipeline drains, the SPM
@@ -147,6 +147,10 @@ class Pipeline {
 
   Cycle now() const { return last_commit_; }
 
+  /// Largest ring capacity over the structural-resource limiters: the
+  /// widest live window the run has held open (tests pin it bounded).
+  usize max_limiter_capacity() const;
+
  private:
   struct OccupancyRing {
     explicit OccupancyRing(usize n) : slots(n, 0) {}
@@ -154,7 +158,7 @@ class Pipeline {
     Cycle free_at() const { return slots[head]; }
     void push(Cycle c) {
       slots[head] = c;
-      head = (head + 1) % slots.size();
+      if (++head == slots.size()) head = 0;
     }
     std::vector<Cycle> slots;
     usize head = 0;

@@ -1,5 +1,5 @@
 // The real-world workload: a block-based image decompressor standing in
-// for libjpeg's djpeg (see DESIGN.md's substitution table).
+// for libjpeg's djpeg (see README "Workload catalog").
 //
 // The secret is the image content (the coefficient array). Processing
 // mirrors djpeg's structure: the image is decomposed into 64-coefficient

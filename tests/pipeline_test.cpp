@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+
 #include "isa/program_builder.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/width_limiter.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
+#include "workloads/registry.h"
 
 namespace sempe {
 namespace {
@@ -40,6 +46,109 @@ TEST(WidthLimiterTest, PruneKeepsSemantics) {
   w.prune(6);
   EXPECT_EQ(w.alloc(6), 6u);
   EXPECT_EQ(w.alloc(0), 7u);  // clamped to pruned base, slot 6 taken
+}
+
+// Reference allocator with WidthLimiter's contract (first cycle >=
+// max(earliest, floor) with a free slot) over an unbounded ordered map.
+class MapLimiter {
+ public:
+  explicit MapLimiter(u32 width) : width_(width) {}
+  Cycle alloc(Cycle earliest) {
+    Cycle c = std::max(earliest, floor_);
+    while (used_[c] >= width_) ++c;
+    ++used_[c];
+    return c;
+  }
+  void prune(Cycle before) { floor_ = std::max(floor_, before); }
+  Cycle floor() const { return floor_; }
+
+ private:
+  u32 width_;
+  Cycle floor_ = 0;
+  std::map<Cycle, u32> used_;
+};
+
+TEST(WidthLimiterTest, MatchesMapReferenceOnRandomStreams) {
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const u32 width = static_cast<u32>(1 + rng.next_below(12));
+    WidthLimiter ring(width);
+    MapLimiter ref(width);
+    Cycle head = 0;  // the request stream's moving frontier
+    for (int step = 0; step < 20000; ++step) {
+      const u64 roll = rng.next_below(1000);
+      if (roll < 15) {
+        // Monotone prune: mostly well behind the frontier (live windows of
+        // up to a few thousand cycles force ring growth), sometimes past
+        // it (every slot turns stale at once).
+        const Cycle lag = rng.next_below(4096);
+        Cycle to = head > lag ? head - lag : 0;
+        if (roll < 3) to = head + rng.next_below(64);
+        ring.prune(to);
+        ref.prune(to);
+        continue;
+      }
+      // Sparse forward gaps (ptr_chase-like idle stretches) or dense steps.
+      head += roll < 100 ? rng.next_below(500) : rng.next_below(3);
+      Cycle req = head;
+      if (roll < 110) {
+        req = rng.next_below(ref.floor() + 1);  // below the floor: clamped
+      } else if (roll < 500) {
+        const Cycle room = head - std::min(head, ref.floor());
+        req = head - rng.next_below(std::min<Cycle>(room, 64) + 1);
+      }
+      ASSERT_EQ(ring.alloc(req), ref.alloc(req))
+          << "seed " << seed << " width " << width << " step " << step;
+    }
+    // 64 -> 512 or more: the stream's spread forced several doublings.
+    EXPECT_GE(ring.capacity(), 512u) << "seed " << seed;
+  }
+}
+
+// Largest limiter ring after running `spec` to halt in `mode`.
+usize limiter_capacity(const std::string& spec, workloads::Variant variant,
+                       cpu::ExecMode mode) {
+  const workloads::BuiltWorkload w =
+      workloads::WorkloadRegistry::instance().build(spec, variant);
+  mem::MainMemory memory;
+  cpu::CoreConfig cc;
+  cc.mode = mode;
+  cpu::FunctionalCore core(&w.program, &memory, cc);
+  pipeline::Pipeline pipe(&core, {});
+  pipe.run();
+  return pipe.max_limiter_capacity();
+}
+
+TEST(PipelineBounds, LimiterWindowIndependentOfRunLength) {
+  // Every limiter prunes at its own lower bound on future requests, so its
+  // ring spans the machine's live window, never the run: a 10x longer run
+  // must end with the same capacity. The widest window is a full ROB of
+  // serialised DRAM-missing loads; a power-of-two ring covering it stays
+  // under twice that.
+  const PipelineConfig cfg;
+  const usize cap = 2 * cfg.rob_entries *
+                    (cfg.load_base_latency + cfg.memory.dl1_hit_latency +
+                     cfg.memory.l2_hit_latency + cfg.memory.dram_latency);
+  struct Point {
+    const char* shorter;
+    const char* longer;  // the same point, 10x the run length
+    workloads::Variant variant;
+    cpu::ExecMode mode;
+  };
+  const Point points[] = {
+      {"synthetic.ptr_chase?steps=2000", "synthetic.ptr_chase?steps=20000",
+       workloads::Variant::kSecure, cpu::ExecMode::kLegacy},
+      {"synthetic.secret_mix?iters=4", "synthetic.secret_mix?iters=40",
+       workloads::Variant::kSecure, cpu::ExecMode::kSempe},
+      {"synthetic.secret_mix?iters=4", "synthetic.secret_mix?iters=40",
+       workloads::Variant::kCte, cpu::ExecMode::kLegacy},
+  };
+  for (const Point& p : points) {
+    const usize shorter = limiter_capacity(p.shorter, p.variant, p.mode);
+    const usize longer = limiter_capacity(p.longer, p.variant, p.mode);
+    EXPECT_EQ(shorter, longer) << p.longer;
+    EXPECT_LT(longer, cap) << p.longer;
+  }
 }
 
 TEST(PipelineTiming, IndependentOpsOverlap) {
