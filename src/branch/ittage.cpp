@@ -6,23 +6,30 @@
 namespace sempe::branch {
 
 ItTage::ItTage(const ItTageConfig& cfg) : cfg_(cfg), history_(256) {
-  SEMPE_CHECK(is_pow2(cfg.base_entries));
-  SEMPE_CHECK(is_pow2(cfg.tagged_entries));
+  SEMPE_CHECK_MSG(is_pow2(cfg.base_entries),
+                  "ItTageConfig.base_entries = " << cfg.base_entries
+                                                 << ": must be a power of two");
+  check_tagged_geometry("ItTageConfig", cfg.history_lengths,
+                        cfg.tagged_entries, cfg.tag_bits, 1, history_.size());
   base_.assign(cfg.base_entries, 0);
   tables_.assign(cfg.history_lengths.size(),
                  std::vector<Entry>(cfg.tagged_entries));
+  tag_mask_ = low_mask(cfg.tag_bits);
+  const u32 index_bits = log2_floor(cfg.tagged_entries);
+  for (const usize len : cfg.history_lengths)
+    folds_.push_back({history_.add_fold(len, index_bits),
+                      history_.add_fold(len, cfg.tag_bits)});
 }
 
 usize ItTage::index_for(usize table, Addr pc) const {
-  const u32 bits = log2_floor(cfg_.tagged_entries);
-  const u64 h = history_.folded(cfg_.history_lengths[table], bits);
+  const u64 h = history_.value(folds_[table].index);
   return static_cast<usize>(((pc >> 3) ^ h ^ (table * 0x51ull)) &
-                            low_mask(bits));
+                            (cfg_.tagged_entries - 1));
 }
 
 u16 ItTage::tag_for(usize table, Addr pc) const {
-  const u64 h = history_.folded(cfg_.history_lengths[table], cfg_.tag_bits);
-  return static_cast<u16>(((pc >> 3) ^ (h << 1) ^ h) & low_mask(cfg_.tag_bits));
+  const u64 h = history_.value(folds_[table].tag);
+  return static_cast<u16>(((pc >> 3) ^ (h << 1) ^ h) & tag_mask_);
 }
 
 Addr ItTage::predict(Addr pc) {

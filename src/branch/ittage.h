@@ -43,6 +43,13 @@ class ItTage {
     u8 useful = 0;
   };
 
+  /// The fold registers one tagged table hashes with, registered once at
+  /// construction.
+  struct TableFolds {
+    GlobalHistory::FoldHandle index = 0;  // (len, index bits)
+    GlobalHistory::FoldHandle tag = 0;    // (len, tag_bits)
+  };
+
   usize index_for(usize table, Addr pc) const;
   u16 tag_for(usize table, Addr pc) const;
 
@@ -50,6 +57,8 @@ class ItTage {
   std::vector<Addr> base_;
   std::vector<std::vector<Entry>> tables_;
   GlobalHistory history_;
+  std::vector<TableFolds> folds_;  // one per tagged table
+  u64 tag_mask_ = 0;               // low_mask(tag_bits)
   u64 lookups_ = 0;
   u64 mispredicts_ = 0;
 };

@@ -6,26 +6,35 @@
 namespace sempe::branch {
 
 Tage::Tage(const TageConfig& cfg) : cfg_(cfg), history_(512) {
-  SEMPE_CHECK(is_pow2(cfg.bimodal_entries));
-  SEMPE_CHECK(is_pow2(cfg.tagged_entries));
-  SEMPE_CHECK(!cfg.history_lengths.empty());
+  SEMPE_CHECK_MSG(is_pow2(cfg.bimodal_entries),
+                  "TageConfig.bimodal_entries = " << cfg.bimodal_entries
+                                                  << ": must be a power of two");
+  SEMPE_CHECK_MSG(!cfg.history_lengths.empty(),
+                  "TageConfig.history_lengths is empty");
+  // tag_for() also folds to tag_bits - 1, so a tag needs two bits.
+  check_tagged_geometry("TageConfig", cfg.history_lengths, cfg.tagged_entries,
+                        cfg.tag_bits, 2, history_.size());
   bimodal_.assign(cfg.bimodal_entries, 2);  // weakly taken
   tables_.assign(cfg.history_lengths.size(),
                  std::vector<TaggedEntry>(cfg.tagged_entries));
+  index_bits_ = log2_floor(cfg.tagged_entries);
+  tag_mask_ = low_mask(cfg.tag_bits);
+  for (const usize len : cfg.history_lengths)
+    folds_.push_back({history_.add_fold(len, index_bits_),
+                      history_.add_fold(len, cfg.tag_bits),
+                      history_.add_fold(len, cfg.tag_bits - 1)});
 }
 
 usize Tage::index_for(usize table, Addr pc) const {
-  const u32 bits = log2_floor(cfg_.tagged_entries);
-  const u64 h = history_.folded(cfg_.history_lengths[table], bits);
-  const u64 p = (pc >> 3) ^ (pc >> (3 + bits)) ^ (table * 0x9e37u);
-  return static_cast<usize>((p ^ h) & low_mask(bits));
+  const u64 h = history_.value(folds_[table].index);
+  const u64 p = (pc >> 3) ^ (pc >> (3 + index_bits_)) ^ (table * 0x9e37u);
+  return static_cast<usize>((p ^ h) & (cfg_.tagged_entries - 1));
 }
 
 u16 Tage::tag_for(usize table, Addr pc) const {
-  const u64 h = history_.folded(cfg_.history_lengths[table], cfg_.tag_bits);
-  const u64 h2 = history_.folded(cfg_.history_lengths[table], cfg_.tag_bits - 1)
-                 << 1;
-  return static_cast<u16>(((pc >> 3) ^ h ^ h2) & low_mask(cfg_.tag_bits));
+  const u64 h = history_.value(folds_[table].tag);
+  const u64 h2 = history_.value(folds_[table].tag2) << 1;
+  return static_cast<u16>(((pc >> 3) ^ h ^ h2) & tag_mask_);
 }
 
 Tage::Prediction Tage::lookup(Addr pc) const {

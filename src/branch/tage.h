@@ -70,6 +70,14 @@ class Tage {
     usize bimodal_index = 0;
   };
 
+  /// The fold registers one tagged table hashes with, registered once at
+  /// construction.
+  struct TableFolds {
+    GlobalHistory::FoldHandle index = 0;  // (len, index bits)
+    GlobalHistory::FoldHandle tag = 0;    // (len, tag_bits)
+    GlobalHistory::FoldHandle tag2 = 0;   // (len, tag_bits - 1)
+  };
+
   usize index_for(usize table, Addr pc) const;
   u16 tag_for(usize table, Addr pc) const;
   Prediction lookup(Addr pc) const;
@@ -78,6 +86,9 @@ class Tage {
   std::vector<u8> bimodal_;                        // 2-bit counters
   std::vector<std::vector<TaggedEntry>> tables_;
   GlobalHistory history_;
+  std::vector<TableFolds> folds_;  // one per tagged table
+  u32 index_bits_ = 0;             // log2(tagged_entries)
+  u64 tag_mask_ = 0;               // low_mask(tag_bits)
   Prediction last_;   // lookup state carried from predict() to update()
   Addr last_pc_ = 0;
   bool have_last_ = false;

@@ -12,6 +12,16 @@ FunctionalCore::FunctionalCore(const isa::Program* program,
     : prog_(program), mem_(memory), cfg_(cfg), spm_(cfg.spm),
       jb_(cfg.jb_entries), snapshots_(&spm_) {
   SEMPE_CHECK(program != nullptr && memory != nullptr);
+  decoded_.reserve(program->num_instructions());
+  for (const u64 word : program->code()) {
+    Instruction ins{.op = Opcode::kCount};
+    try {
+      ins = isa::decode(word);
+    } catch (const SimError&) {
+      // Left as the kCount sentinel: fetch() re-raises at the fetching step.
+    }
+    decoded_.push_back(ins);
+  }
   // Load the data image.
   for (const auto& seg : program->data())
     mem_->write_bytes(seg.addr, seg.bytes.data(), seg.bytes.size());
@@ -111,13 +121,22 @@ i64 FunctionalCore::alu(const Instruction& ins, i64 a, i64 b) const {
   return 0;
 }
 
+Instruction FunctionalCore::fetch(Addr pc) const {
+  const Addr offset = pc - prog_->code_base();  // wraps below the segment
+  const Addr index = offset / isa::kInstrBytes;
+  if (offset % isa::kInstrBytes == 0 && index < decoded_.size() &&
+      decoded_[index].op != Opcode::kCount)
+    return decoded_[index];
+  return prog_->fetch(pc);
+}
+
 DynOp FunctionalCore::step() {
   SEMPE_CHECK_MSG(!halted_, "step() after HALT");
   SEMPE_CHECK_MSG(seq_ < cfg_.max_instructions,
                   "instruction limit exceeded (runaway program?)");
 
   const Addr pc = state_.pc;
-  const Instruction ins = prog_->fetch(pc);
+  const Instruction ins = fetch(pc);
   if (on_fetch) on_fetch(pc);
 
   DynOp op;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "core/arch_snapshot.h"
 #include "core/jb_table.h"
@@ -99,7 +100,16 @@ class FunctionalCore {
   void write_fp(isa::Reg r, double v);
   void sync_regs_from_snapshot(const core::RegBits& bits);
 
+  /// The instruction at pc from the decoded table; anything the table
+  /// does not hold (a PC outside the code segment, a word that did not
+  /// decode) goes through Program::fetch, which throws the SimError.
+  isa::Instruction fetch(Addr pc) const;
+
   const isa::Program* prog_;
+  // prog_'s code decoded once at construction; an undecodable word is held
+  // as op == Opcode::kCount, so its error is raised by the step that
+  // fetches it, not here.
+  std::vector<isa::Instruction> decoded_;
   mem::MainMemory* mem_;
   CoreConfig cfg_;
   ArchState state_;

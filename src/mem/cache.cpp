@@ -23,6 +23,8 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
                   "cache size not divisible by way size");
   num_sets_ = cfg.size_bytes / cfg.line_bytes / cfg.assoc;
   SEMPE_CHECK_MSG(is_pow2(num_sets_), "number of sets must be a power of two");
+  line_shift_ = log2_floor(cfg.line_bytes);
+  set_shift_ = log2_floor(num_sets_);
   lines_.resize(num_sets_ * cfg.assoc);
 }
 
@@ -56,8 +58,7 @@ CacheAccessResult Cache::access(Addr addr, bool is_write) {
   CacheAccessResult r;
   if (victim->valid && victim->dirty) {
     r.writeback = true;
-    r.victim_line =
-        (victim->tag * num_sets_ + set) * cfg_.line_bytes;
+    r.victim_line = ((victim->tag << set_shift_) | set) << line_shift_;
     bump(CacheStat::kWritebacks);
   }
   victim->valid = true;

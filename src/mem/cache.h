@@ -92,15 +92,19 @@ class Cache {
     u64 lru = 0;  // larger = more recently used
   };
 
+  // Line size and set count are powers of two, so the set index and tag
+  // are shifts and masks of the address.
   usize set_index(Addr a) const {
-    return static_cast<usize>((a / cfg_.line_bytes) & (num_sets_ - 1));
+    return static_cast<usize>((a >> line_shift_) & (num_sets_ - 1));
   }
-  u64 tag_of(Addr a) const { return a / cfg_.line_bytes / num_sets_; }
+  u64 tag_of(Addr a) const { return a >> (line_shift_ + set_shift_); }
 
   void bump(CacheStat s) { ++counters_[static_cast<usize>(s)]; }
 
   CacheConfig cfg_;
   usize num_sets_;
+  u32 line_shift_ = 0;  // log2(line_bytes)
+  u32 set_shift_ = 0;   // log2(num_sets_)
   std::vector<Line> lines_;  // num_sets_ * assoc, set-major
   u64 lru_clock_ = 0;
   std::array<u64, kNumCacheStats> counters_{};

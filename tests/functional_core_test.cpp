@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cpu/functional_core.h"
 #include "isa/program_builder.h"
 
@@ -267,6 +270,57 @@ TEST(Core, HaltStopsExecution) {
   EXPECT_TRUE(r->core->halted());
   EXPECT_EQ(r->core->instructions_executed(), 2u);
   EXPECT_THROW(r->core->step(), SimError);
+}
+
+/// `pb`'s program with its last instruction word replaced by `word`.
+isa::Program with_last_word(ProgramBuilder& pb, u64 word) {
+  const isa::Program p = pb.build();
+  std::vector<u64> code = p.code();
+  code.back() = word;
+  return isa::Program(p.code_base(), code, p.data());
+}
+
+TEST(Core, UndecodableWordFaultsOnlyWhenFetched) {
+  const u64 bad = 0xff;  // opcode byte past the last opcode
+  std::string decode_error;
+  try {
+    isa::decode(bad);
+  } catch (const SimError& e) {
+    decode_error = e.what();
+  }
+  ASSERT_FALSE(decode_error.empty());
+
+  // Placed after HALT, the word is never fetched: the run is clean.
+  ProgramBuilder clean;
+  clean.li(1, 5);
+  clean.halt();
+  clean.nop();
+  const isa::Program after_halt = with_last_word(clean, bad);
+  mem::MainMemory m1;
+  FunctionalCore c1(&after_halt, &m1, {});
+  EXPECT_EQ(c1.run_to_halt(), 2u);
+  EXPECT_EQ(c1.state().get_int(1), 5);
+
+  // Jumped to, it raises decode()'s SimError at the step that fetches it.
+  ProgramBuilder jump;
+  auto target = jump.new_label();
+  jump.li(1, 5);
+  jump.beq(1, 1, target);
+  jump.halt();
+  jump.bind(target);
+  jump.nop();
+  const isa::Program jumped = with_last_word(jump, bad);
+  mem::MainMemory m2;
+  FunctionalCore c2(&jumped, &m2, {});
+  c2.step();  // li
+  c2.step();  // beq, taken
+  try {
+    c2.step();
+    ADD_FAILURE() << "fetching the undecodable word did not throw";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()), decode_error);
+  }
+  EXPECT_EQ(c2.instructions_executed(), 2u);
 }
 
 TEST(Core, RunawayGuard) {

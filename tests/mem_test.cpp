@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/main_memory.h"
 #include "mem/prefetcher.h"
 #include "mem/scratchpad.h"
+#include "util/rng.h"
 
 namespace sempe::mem {
 namespace {
@@ -90,6 +93,101 @@ TEST(Cache, FlushEmptiesContents) {
 TEST(Cache, ConfigValidation) {
   EXPECT_THROW(Cache({.size_bytes = 1000, .assoc = 3, .line_bytes = 60}),
                SimError);
+}
+
+/// Reference set-associative LRU cache indexed with the division formula
+/// (set = addr / line % sets, tag = addr / line / sets), against which the
+/// shift-indexed Cache is checked access by access.
+struct DivisionCache {
+  struct Line {
+    bool valid = false;
+    bool dirty = false;
+    u64 tag = 0;
+    u64 lru = 0;
+  };
+  usize line_bytes, num_sets, assoc;
+  std::vector<Line> lines;
+  u64 clock = 0;
+
+  DivisionCache(usize size, usize ways, usize line)
+      : line_bytes(line), num_sets(size / line / ways), assoc(ways),
+        lines(num_sets * ways) {}
+
+  CacheAccessResult access(Addr a, bool is_write) {
+    const u64 set = a / line_bytes % num_sets;
+    const u64 tag = a / line_bytes / num_sets;
+    Line* base = &lines[set * assoc];
+    for (usize w = 0; w < assoc; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].lru = ++clock;
+        base[w].dirty = base[w].dirty || is_write;
+        return {.hit = true};
+      }
+    }
+    Line* victim = &base[0];
+    for (usize w = 0; w < assoc; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].lru < victim->lru) victim = &base[w];
+    }
+    CacheAccessResult r;
+    if (victim->valid && victim->dirty) {
+      r.writeback = true;
+      r.victim_line = (victim->tag * num_sets + set) * line_bytes;
+    }
+    *victim = {.valid = true, .dirty = is_write, .tag = tag, .lru = ++clock};
+    return r;
+  }
+};
+
+TEST(Cache, ShiftIndexingMatchesDivisionFormula) {
+  Rng rng(11);
+  for (const usize line : {16u, 32u, 64u, 128u, 256u}) {
+    for (const usize assoc : {1u, 2u, 4u, 8u}) {
+      for (const usize sets : {1u, 4u, 64u, 512u}) {
+        const usize size = line * assoc * sets;
+        Cache c({.name = "t", .size_bytes = size, .assoc = assoc,
+                 .line_bytes = line});
+        DivisionCache ref(size, assoc, line);
+        ASSERT_EQ(c.num_sets(), sets);
+        // Addresses over 4x the capacity (hits, conflicts, dirty
+        // evictions) with a few high bits set to exercise wide tags.
+        for (int i = 0; i < 3000; ++i) {
+          const Addr a = (rng.next_below(4 * size) |
+                          (rng.next_below(4) << 40));
+          const bool w = rng.next_below(3) == 0;
+          const CacheAccessResult got = c.access(a, w);
+          const CacheAccessResult want = ref.access(a, w);
+          ASSERT_EQ(got.hit, want.hit) << "line=" << line << " assoc="
+                                       << assoc << " sets=" << sets;
+          ASSERT_EQ(got.writeback, want.writeback);
+          ASSERT_EQ(got.victim_line, want.victim_line);
+          ASSERT_TRUE(c.probe(a));
+        }
+      }
+    }
+  }
+}
+
+TEST(Cache, DirtyVictimLineIsTheEvictedAddress) {
+  for (const usize line : {16u, 64u, 256u}) {
+    for (const usize assoc : {1u, 2u, 8u}) {
+      const usize sets = 32;
+      Cache c({.name = "t", .size_bytes = line * assoc * sets,
+               .assoc = assoc, .line_bytes = line});
+      // A dirty line deep in a set, then `assoc` more lines of that set.
+      const Addr dirty = (Addr{0x5a} << 32) + 7 * line + line / 2;
+      c.access(dirty, true);
+      CacheAccessResult last;
+      for (usize k = 1; k <= assoc; ++k)
+        last = c.access(dirty + k * sets * line, false);
+      EXPECT_TRUE(last.writeback) << "line=" << line << " assoc=" << assoc;
+      EXPECT_EQ(last.victim_line, c.line_of(dirty));
+      EXPECT_FALSE(c.probe(dirty));
+    }
+  }
 }
 
 TEST(StridePrefetcher, DetectsConstantStride) {
