@@ -6,6 +6,11 @@
 // fails one of these tests instead of silently breaking downstream
 // parsers of bench_synthetic/bench_leakage/bench_scenarios --json.
 //
+// The Orchestration* cases pin values too: per job family, the full
+// --json document, every point's encoded cache blob, and every job's key
+// text — so a refactor of the sweep layer must reproduce every byte a
+// document, cache or journal depends on.
+//
 // The golden files live in tests/golden/. After an INTENDED schema
 // change, regenerate them with:  SEMPE_UPDATE_GOLDEN=1 ./golden_json_test
 #include <gtest/gtest.h>
@@ -16,6 +21,8 @@
 #include <string>
 
 #include "sim/batch_runner.h"
+#include "sim/job_key.h"
+#include "sim/sweep_codec.h"
 #include "workloads/scenarios.h"
 
 namespace sempe::sim {
@@ -194,6 +201,118 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
   const std::string stripped = obs::strip_report_timing(report);
   EXPECT_EQ(stripped.find("\"timing\""), std::string::npos);
   check_golden("metrics_report.json.golden", normalize_report(stripped));
+}
+
+// ---------------------------------------------------------------------------
+// Value-pinned orchestration records, one per job family.
+
+constexpr const char* kGoldenFingerprint = "golden-fingerprint";
+
+SweepOptions threads(usize n) {
+  SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
+/// The golden record of one family's small sweep: the full document and
+/// (for cached families) each point's blob and each job's key text.
+template <typename Job, typename Point>
+std::string orchestration_record(const std::string& json,
+                                 const std::vector<Job>& jobs,
+                                 const std::vector<Point>& points,
+                                 std::string (*encode)(const Point&)) {
+  std::string out = "== json\n" + json;
+  if (encode == nullptr) return out;
+  for (usize i = 0; i < points.size(); ++i)
+    out += "== blob " + std::to_string(i) + "\n" + encode(points[i]);
+  for (usize i = 0; i < jobs.size(); ++i)
+    out += "== key " + std::to_string(i) + "\n" +
+           job_identity(jobs[i], kGoldenFingerprint).canonical_text();
+  return out;
+}
+
+template <typename Point>
+std::string encode(const Point& p) {
+  return encode_point(p);
+}
+
+std::vector<std::string> two_synthetic_specs() {
+  return {"synthetic.cond_branch?size=32&width=1&iters=1",
+          "synthetic.stream?size=32&width=1&iters=1"};
+}
+
+security::AuditOptions two_samples() {
+  security::AuditOptions opt;
+  opt.samples = 2;
+  return opt;
+}
+
+TEST(GoldenJson, OrchestrationMicrobenchValuesArePinned) {
+  MicrobenchOptions opt;
+  opt.iterations = 2;
+  const auto jobs = microbench_grid(
+      {workloads::Kind::kOnes, workloads::Kind::kFibonacci}, {1, 2}, opt);
+  const auto run = run_microbench_sweep(jobs, threads(2));
+  check_golden("orch_microbench.golden",
+               orchestration_record(microbench_json("orch", jobs, run), jobs,
+                                    run.points, &encode<MicrobenchPoint>));
+}
+
+TEST(GoldenJson, OrchestrationDjpegValuesArePinned) {
+  const auto jobs = djpeg_grid(
+      {workloads::OutputFormat::kPpm, workloads::OutputFormat::kBmp},
+      {4096}, 16);
+  const auto run = run_djpeg_sweep(jobs, threads(2));
+  check_golden("orch_djpeg.golden",
+               orchestration_record(djpeg_json("orch", jobs, run), jobs,
+                                    run.points, &encode<DjpegPoint>));
+}
+
+TEST(GoldenJson, OrchestrationWorkloadValuesArePinned) {
+  const auto jobs = workload_grid(two_synthetic_specs(), MicrobenchOptions{});
+  const auto run = run_workload_sweep(jobs, threads(2));
+  check_golden("orch_workload.golden",
+               orchestration_record(workload_json("orch", jobs, run), jobs,
+                                    run.points, &encode<WorkloadPoint>));
+}
+
+TEST(GoldenJson, OrchestrationLeakageValuesArePinned) {
+  const auto jobs = leakage_grid(two_synthetic_specs(), two_samples());
+  const auto run = run_leakage_sweep(jobs, threads(2));
+  check_golden("orch_leakage.golden",
+               orchestration_record(leakage_json("orch", jobs, run), jobs,
+                                    run.points, &encode<LeakagePoint>));
+}
+
+TEST(GoldenJson, OrchestrationLintValuesArePinned) {
+  const auto jobs = lint_grid(two_synthetic_specs(), two_samples());
+  const auto run = run_lint_sweep(jobs, threads(2));
+  check_golden("orch_lint.golden",
+               orchestration_record(lint_json("orch", jobs, run), jobs,
+                                    run.points, &encode<LintPoint>));
+}
+
+TEST(GoldenJson, OrchestrationPerfValuesArePinned) {
+  // Perf points are timed: the document is pinned without its wall-clock
+  // lines, and the family has no blob or key to pin.
+  const auto jobs = perf_grid(two_synthetic_specs(), MicrobenchOptions{});
+  const auto run = run_perf_sweep(jobs, threads(2));
+  check_golden("orch_perf.golden",
+               orchestration_record<PerfJob, PerfPoint>(
+                   strip_perf_timing(perf_json("orch", jobs, run)), jobs,
+                   run.points, nullptr));
+}
+
+TEST(GoldenJson, OrchestrationTenantValuesArePinned) {
+  const auto jobs = tenant_grid(
+      {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
+       "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
+       "&iters=2"},
+      two_samples());
+  const auto run = run_tenant_sweep(jobs, threads(2));
+  check_golden("orch_tenant.golden",
+               orchestration_record(tenant_json("orch", jobs, run), jobs,
+                                    run.points, &encode<TenantPoint>));
 }
 
 }  // namespace
