@@ -26,7 +26,6 @@ using workloads::Kind;
 
 constexpr usize kSnapshotWidths = 8;                   // W = 1..8, 3 jobs each
 constexpr u32 kSpmRates[] = {8, 16, 32, 64, 128};      // B/cycle
-constexpr usize kNumSpm = sizeof kSpmRates / sizeof *kSpmRates;
 
 MicrobenchJob snapshot_job(usize w, cpu::SnapshotModel model, const char* name,
                            const MicrobenchOptions& base) {
@@ -46,15 +45,6 @@ MicrobenchJob snapshot_job(usize w, cpu::SnapshotModel model, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "Ablations: snapshot / SPM / prefetch",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   MicrobenchOptions base;
   base.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
 
@@ -87,64 +77,56 @@ int main(int argc, char** argv) {
     jobs.push_back(std::move(j));
   }
 
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_microbench_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  // The sections recombine points by job label: a filtered or sharded run
-  // holds only a subset, so rows with a missing ingredient are skipped.
-  const auto by_job = sim::points_by_job(run);
-  const auto find = [&](const std::string& label) -> const auto* {
-    for (usize k = 0; k < jobs.size(); ++k)
-      if (jobs[k].label == label) return by_job[k];
-    return static_cast<const sim::MicrobenchPoint*>(nullptr);
-  };
-
-  for (usize w = 1; w <= kSnapshotWidths; ++w) {
-    const std::string suffix = "/W=" + std::to_string(w);
-    const auto* arch = find("snapshot/archrs" + suffix);
-    const auto* phy = find("snapshot/phyrs" + suffix);
-    const auto* lrs = find("snapshot/lrs" + suffix);
-    if (!arch || !phy || !lrs) continue;
-    // Normalize every configuration's protected run against the SAME
-    // (ArchRS-machine) unprotected baseline: LRS's rename-table stage taxes
-    // the whole program — including code outside secure regions — which is
-    // exactly the paper's objection to it.
-    const double b = static_cast<double>(arch->baseline_cycles);
-    const double lrs_base_tax =
-        static_cast<double>(lrs->baseline_cycles) / b - 1.0;
-    std::fprintf(out,
-        "Ablation/snapshot  W=%zu  ArchRS %5.2fx   PhyRS %5.2fx   LRS %5.2fx "
-        "(+%4.1f%% tax on unprotected code)\n",
-        w, static_cast<double>(arch->sempe_cycles) / b,
-        static_cast<double>(phy->sempe_cycles) / b,
-        static_cast<double>(lrs->sempe_cycles) / b, lrs_base_tax * 100.0);
-  }
-  for (usize i = 0; i < kNumSpm; ++i) {
-    const auto* pt = find("spm/" + std::to_string(kSpmRates[i]) + "B");
-    if (!pt) continue;
-    std::fprintf(out,
-      "Ablation/spm  %3u B/cycle  SeMPE %5.2fx (fibonacci, W=4)\n",
-                kSpmRates[i], pt->sempe_slowdown());
-  }
-  for (usize i = 0; i < 2; ++i) {
-    const auto* pt = find(i == 0 ? "prefetch/on" : "prefetch/off");
-    if (!pt) continue;
-    std::fprintf(out,
-        "Ablation/prefetch  %s  SeMPE/ideal(standalone) = %.3f (ones, W=6)\n",
-        i == 0 ? "on " : "off", pt->sempe_vs_ideal_standalone());
-  }
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "ablation", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::microbench_json("ablation", jobs, run)))
-    return 1;
-  return 0;
+  return sim::bench_main<sim::MicrobenchFamily>(
+      argc, argv, "ablation", "Ablations: snapshot / SPM / prefetch",
+      std::move(jobs), [](std::FILE* out, const auto& sweep) {
+        // The sections recombine points by job label: a filtered or
+        // sharded run holds only a subset, so rows with a missing
+        // ingredient are skipped.
+        const auto by_job = sim::points_by_job(sweep.run);
+        const auto find = [&](const std::string& label) {
+          for (usize k = 0; k < sweep.jobs.size(); ++k)
+            if (sweep.jobs[k].label == label) return by_job[k];
+          return static_cast<const sim::MicrobenchPoint*>(nullptr);
+        };
+        for (usize w = 1; w <= kSnapshotWidths; ++w) {
+          const std::string suffix = "/W=" + std::to_string(w);
+          const auto* arch = find("snapshot/archrs" + suffix);
+          const auto* phy = find("snapshot/phyrs" + suffix);
+          const auto* lrs = find("snapshot/lrs" + suffix);
+          if (!arch || !phy || !lrs) continue;
+          // Normalize every configuration's protected run against the SAME
+          // (ArchRS-machine) unprotected baseline: LRS's rename-table stage
+          // taxes the whole program — including code outside secure
+          // regions — which is exactly the paper's objection to it.
+          const double b = static_cast<double>(arch->baseline_cycles);
+          const double lrs_base_tax =
+              static_cast<double>(lrs->baseline_cycles) / b - 1.0;
+          std::fprintf(out,
+                       "Ablation/snapshot  W=%zu  ArchRS %5.2fx   PhyRS "
+                       "%5.2fx   LRS %5.2fx (+%4.1f%% tax on unprotected "
+                       "code)\n",
+                       w, static_cast<double>(arch->sempe_cycles) / b,
+                       static_cast<double>(phy->sempe_cycles) / b,
+                       static_cast<double>(lrs->sempe_cycles) / b,
+                       lrs_base_tax * 100.0);
+        }
+        for (const u32 rate : kSpmRates) {
+          const auto* pt = find("spm/" + std::to_string(rate) + "B");
+          if (!pt) continue;
+          std::fprintf(out,
+                       "Ablation/spm  %3u B/cycle  SeMPE %5.2fx (fibonacci, "
+                       "W=4)\n",
+                       rate, pt->sempe_slowdown());
+        }
+        for (const bool on : {true, false}) {
+          const auto* pt = find(on ? "prefetch/on" : "prefetch/off");
+          if (!pt) continue;
+          std::fprintf(out,
+                       "Ablation/prefetch  %s  SeMPE/ideal(standalone) = "
+                       "%.3f (ones, W=6)\n",
+                       on ? "on " : "off", pt->sempe_vs_ideal_standalone());
+        }
+        return true;
+      });
 }

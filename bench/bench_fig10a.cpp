@@ -14,41 +14,20 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "Figure 10a: slowdown vs nesting depth",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   sim::MicrobenchOptions opt;
   opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  auto jobs = sim::microbench_grid(
-      sim::all_kinds(), {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, opt);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_microbench_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  for (const auto& pt : run.points) {
-    std::fprintf(out,
-        "Fig10a  %-10s W=%2zu  SeMPE %6.2fx   CTE %7.2fx   (CTE/SeMPE "
-        "%5.2fx)\n",
-        workloads::kind_name(pt.kind), pt.width, pt.sempe_slowdown(),
-        pt.cte_slowdown(), pt.cte_vs_sempe());
-  }
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "fig10a", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::microbench_json("fig10a", jobs, run)))
-    return 1;
-  return 0;
+  return sim::bench_main<sim::MicrobenchFamily>(
+      argc, argv, "fig10a", "Figure 10a: slowdown vs nesting depth",
+      sim::microbench_grid(sim::all_kinds(), {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+                           opt),
+      [](std::FILE* out, const auto& sweep) {
+        for (const auto& pt : sweep.run.points)
+          std::fprintf(out,
+                       "Fig10a  %-10s W=%2zu  SeMPE %6.2fx   CTE %7.2fx   "
+                       "(CTE/SeMPE %5.2fx)\n",
+                       workloads::kind_name(pt.kind), pt.width,
+                       pt.sempe_slowdown(), pt.cte_slowdown(),
+                       pt.cte_vs_sempe());
+        return true;
+      });
 }

@@ -13,43 +13,23 @@
 int main(int argc, char** argv) {
   using namespace sempe;
   using workloads::OutputFormat;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "Figure 9: djpeg cache miss rates",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
-  const usize scale = sim::env_usize("SEMPE_DJPEG_SCALE", 8);
-  auto jobs = sim::djpeg_grid(
-      {OutputFormat::kPpm, OutputFormat::kGif, OutputFormat::kBmp},
-      sim::djpeg_sizes(), scale);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_djpeg_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  for (const auto& pt : run.points) {
-    std::fprintf(out,
-        "Fig9  %-4s %5zuk  IL1 %5.2f%%|%5.2f%%  DL1 %5.2f%%|%5.2f%%  "
-        "L2 %5.2f%%|%5.2f%%   (baseline|SeMPE)\n",
-        workloads::format_name(pt.format), pt.pixels / 1024,
-        pt.baseline.il1_miss_rate() * 100, pt.sempe.il1_miss_rate() * 100,
-        pt.baseline.dl1_miss_rate() * 100, pt.sempe.dl1_miss_rate() * 100,
-        pt.baseline.l2_miss_rate() * 100, pt.sempe.l2_miss_rate() * 100);
-  }
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "fig9", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::djpeg_json("fig9", jobs, run)))
-    return 1;
-  return 0;
+  return sim::bench_main<sim::DjpegFamily>(
+      argc, argv, "fig9", "Figure 9: djpeg cache miss rates",
+      sim::djpeg_grid(
+          {OutputFormat::kPpm, OutputFormat::kGif, OutputFormat::kBmp},
+          sim::djpeg_sizes(), sim::env_usize("SEMPE_DJPEG_SCALE", 8)),
+      [](std::FILE* out, const auto& sweep) {
+        for (const auto& pt : sweep.run.points)
+          std::fprintf(
+              out,
+              "Fig9  %-4s %5zuk  IL1 %5.2f%%|%5.2f%%  DL1 %5.2f%%|%5.2f%%  "
+              "L2 %5.2f%%|%5.2f%%   (baseline|SeMPE)\n",
+              workloads::format_name(pt.format), pt.pixels / 1024,
+              pt.baseline.il1_miss_rate() * 100,
+              pt.sempe.il1_miss_rate() * 100,
+              pt.baseline.dl1_miss_rate() * 100,
+              pt.sempe.dl1_miss_rate() * 100, pt.baseline.l2_miss_rate() * 100,
+              pt.sempe.l2_miss_rate() * 100);
+        return true;
+      });
 }

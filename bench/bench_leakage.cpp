@@ -23,80 +23,46 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "leakage audit: every registered workload "
-                                 "x secret space x {legacy, SeMPE, CTE}",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 2);
   security::AuditOptions opt;
   opt.samples = sim::env_usize("SEMPE_AUDIT_SAMPLES", 8);
   opt.stat_samples = sim::env_usize("SEMPE_STAT_SAMPLES", 0);
   opt.stat_budget = sim::env_usize("SEMPE_STAT_BUDGET", 0);
-
-  std::vector<std::string> specs;
-  for (const std::string& name :
-       workloads::WorkloadRegistry::instance().names()) {
-    // The co-residence attack workloads audit through the two-tenant
-    // scheduler and carry the key-recovery gate; bench_tenants owns them.
-    if (name.rfind("attack.", 0) == 0) continue;
-    if (name == "djpeg") {
-      // No settable secret vector; keep the image small so the smoke point
-      // does not dominate the sweep.
-      specs.push_back("djpeg?pixels=4096&scale=16");
-      continue;
-    }
-    specs.push_back(name + "?width=3&iters=" + std::to_string(iters));
-  }
-  auto jobs = sim::leakage_grid(specs, opt);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_leakage_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  bool all_ok = true;
-  for (const auto& pt : run.points) {
-    const security::WorkloadAudit& a = pt.audit;
-    all_ok = all_ok && pt.sempe_closed() && pt.results_ok();
-    std::fprintf(out, "leakage  %-58s  W=%zu n=%zu", a.spec.c_str(),
-                 a.secret_width, a.masks.size());
-    for (const security::ModeAudit& m : a.modes) {
-      if (m.indistinguishable()) {
-        std::fprintf(out, "  %s: closed", m.mode.c_str());
-      } else {
-        std::fprintf(out, "  %s: OPEN %.2fb [%s]", m.mode.c_str(),
-                     m.leaked_bits(), m.open_channels().c_str());
-      }
-      if (m.stat_verdict() != security::StatVerdict::kNotRun)
-        std::fprintf(out, " stat=%s(|t|=%.2f)",
-                     security::stat_verdict_name(m.stat_verdict()),
-                     m.stat_max_t() < 0 ? -m.stat_max_t() : m.stat_max_t());
-    }
-    std::fprintf(out, "  %s\n",
-                 pt.results_ok() ? "ok" : "RESULTS MISMATCH");
-    if (!pt.sempe_closed()) {
-      const security::ModeAudit* s = a.mode("sempe");
-      std::fprintf(out, "  !! SeMPE leak: %s\n",
-                   s != nullptr && !s->first_divergence().empty()
-                       ? s->first_divergence().c_str()
-                       : "results mismatch");
-    }
-  }
-  std::fprintf(stderr, "audited %zu workload(s) in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "leakage", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::leakage_json("leakage", jobs, run)))
-    return 1;
-  return all_ok ? 0 : 1;
+  return sim::bench_main<sim::LeakageFamily>(
+      argc, argv, "leakage",
+      "leakage audit: every registered workload x secret space x {legacy, "
+      "SeMPE, CTE}",
+      sim::leakage_grid(sim::registry_audit_specs(iters), opt),
+      [](std::FILE* out, const auto& sweep) {
+        bool all_ok = true;
+        for (const auto& pt : sweep.run.points) {
+          const security::WorkloadAudit& a = pt.audit;
+          all_ok = all_ok && pt.sempe_closed() && pt.results_ok();
+          std::fprintf(out, "leakage  %-58s  W=%zu n=%zu", a.spec.c_str(),
+                       a.secret_width, a.masks.size());
+          for (const security::ModeAudit& m : a.modes) {
+            if (m.indistinguishable()) {
+              std::fprintf(out, "  %s: closed", m.mode.c_str());
+            } else {
+              std::fprintf(out, "  %s: OPEN %.2fb [%s]", m.mode.c_str(),
+                           m.leaked_bits(), m.open_channels().c_str());
+            }
+            if (m.stat_verdict() != security::StatVerdict::kNotRun)
+              std::fprintf(
+                  out, " stat=%s(|t|=%.2f)",
+                  security::stat_verdict_name(m.stat_verdict()),
+                  m.stat_max_t() < 0 ? -m.stat_max_t() : m.stat_max_t());
+          }
+          std::fprintf(out, "  %s\n",
+                       pt.results_ok() ? "ok" : "RESULTS MISMATCH");
+          if (!pt.sempe_closed()) {
+            const security::ModeAudit* s = a.mode("sempe");
+            std::fprintf(out, "  !! SeMPE leak: %s\n",
+                         s != nullptr && !s->first_divergence().empty()
+                             ? s->first_divergence().c_str()
+                             : "results mismatch");
+          }
+        }
+        return all_ok;
+      });
 }

@@ -27,70 +27,32 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "static taint lint: every registered "
-                                 "workload x {legacy, SeMPE, CTE} policy, "
-                                 "cross-checked against the dynamic audit",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 2);
   security::AuditOptions opt;
   opt.samples = sim::env_usize("SEMPE_AUDIT_SAMPLES", 8);
-
-  std::vector<std::string> specs;
-  for (const std::string& name :
-       workloads::WorkloadRegistry::instance().names()) {
-    // The co-residence attack workloads audit through the two-tenant
-    // scheduler and carry the key-recovery gate; bench_tenants owns them.
-    if (name.rfind("attack.", 0) == 0) continue;
-    if (name == "djpeg") {
-      // No settable secret vector; keep the image small so the smoke point
-      // does not dominate the sweep.
-      specs.push_back("djpeg?pixels=4096&scale=16");
-      continue;
-    }
-    specs.push_back(name + "?width=3&iters=" + std::to_string(iters));
-  }
-  auto jobs = sim::lint_grid(specs, opt);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_lint_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  bool all_ok = true;
-  for (const auto& pt : run.points) {
-    const security::WorkloadLint& l = pt.lint;
-    all_ok = all_ok && pt.ok();
-    std::fprintf(out,
-                 "lint  %-58s  W=%zu  legacy: %zu  sempe: %zu (excused %zu)  "
-                 "cte: %s  %s\n",
-                 l.spec.c_str(), l.secret_width,
-                 l.natural_legacy.findings.size(),
-                 l.natural_sempe.findings.size(),
-                 l.natural_sempe.excused_sjmps,
-                 l.has_cte ? std::to_string(l.cte.findings.size()).c_str()
-                           : "-",
-                 pt.ok() ? "ok" : "FAIL");
-    if (!pt.ok())
-      std::fprintf(out, "  !! %s\n", pt.failure_summary().c_str());
-    if (!pt.warnings.empty())
-      std::fprintf(out, "  (warn) %s\n", pt.warning_summary().c_str());
-  }
-  std::fprintf(stderr, "linted %zu workload(s) in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "lint", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::lint_json("lint", jobs, run)))
-    return 1;
-  return all_ok ? 0 : 1;
+  return sim::bench_main<sim::LintFamily>(
+      argc, argv, "lint",
+      "static taint lint: every registered workload x {legacy, SeMPE, CTE} "
+      "policy, cross-checked against the dynamic audit",
+      sim::spec_grid<sim::LintFamily>(sim::registry_audit_specs(iters), opt),
+      [](std::FILE* out, const auto& sweep) {
+        bool all_ok = true;
+        for (const auto& pt : sweep.run.points) {
+          const security::WorkloadLint& l = pt.lint;
+          all_ok = all_ok && pt.ok();
+          std::fprintf(
+              out,
+              "lint  %-58s  W=%zu  legacy: %zu  sempe: %zu (excused %zu)  "
+              "cte: %s  %s\n",
+              l.spec.c_str(), l.secret_width, l.natural_legacy.findings.size(),
+              l.natural_sempe.findings.size(), l.natural_sempe.excused_sjmps,
+              l.has_cte ? std::to_string(l.cte.findings.size()).c_str() : "-",
+              pt.ok() ? "ok" : "FAIL");
+          if (!pt.ok())
+            std::fprintf(out, "  !! %s\n", pt.failure_summary().c_str());
+          if (!pt.warnings.empty())
+            std::fprintf(out, "  (warn) %s\n", pt.warning_summary().c_str());
+        }
+        return all_ok;
+      });
 }

@@ -25,64 +25,44 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "simulator throughput: representative "
-                                 "workloads x {legacy, SeMPE, CTE}, wall-"
-                                 "clock tracked",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 8);
-  const std::vector<std::string> specs = sim::perf_sweep_specs(iters);
-  auto jobs = sim::perf_grid(specs, sim::MicrobenchOptions{});
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_perf_sweep(jobs, sim::sweep_options(cli));
-  const double sweep_secs = sweep_sw.elapsed_seconds();
-
-  bool all_ok = true;
-  u64 total_instructions = 0;
-  double total_point_secs = 0.0;
-  for (const auto& pp : run.points) {
-    all_ok = all_ok && pp.point.results_ok;
-    total_instructions += pp.simulated_instructions();
-    total_point_secs += pp.wall_seconds;
-    std::fprintf(out,
-                 "perf  %-44s  %8.2f MIPS  %7.1f ns/instr  %9llu instr  %s\n",
-                 pp.point.spec.c_str(), pp.simulated_mips(),
-                 pp.ns_per_instruction(),
-                 static_cast<unsigned long long>(pp.simulated_instructions()),
-                 pp.point.results_ok ? "ok" : "RESULTS MISMATCH");
-    if (!pp.point.results_ok)
-      std::fprintf(out, "  !! %s\n", pp.point.mismatch_summary().c_str());
-  }
-  const double agg_mips =
-      total_point_secs <= 0.0
-          ? 0.0
-          : static_cast<double>(total_instructions) / (total_point_secs * 1e6);
-  const double sweep_mips =
-      sweep_secs <= 0.0
-          ? 0.0
-          : static_cast<double>(total_instructions) / (sweep_secs * 1e6);
-  std::fprintf(out,
-               "aggregate: %llu simulated instructions, %.2f MIPS per "
-               "worker, %.2f MIPS end-to-end\n",
-               static_cast<unsigned long long>(total_instructions), agg_mips,
-               sweep_mips);
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), sweep_secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "perf", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::perf_json("perf", jobs, run)))
-    return 1;
-  return all_ok ? 0 : 1;
+  return sim::bench_main<sim::PerfFamily>(
+      argc, argv, "perf",
+      "simulator throughput: representative workloads x {legacy, SeMPE, "
+      "CTE}, wall-clock tracked",
+      sim::spec_grid<sim::PerfFamily>(sim::perf_sweep_specs(iters), {}),
+      [](std::FILE* out, const auto& sweep) {
+        bool all_ok = true;
+        u64 total_instructions = 0;
+        double total_point_secs = 0.0;
+        for (const auto& pp : sweep.run.points) {
+          all_ok = all_ok && pp.point.results_ok;
+          total_instructions += pp.simulated_instructions();
+          total_point_secs += pp.wall_seconds;
+          std::fprintf(
+              out, "perf  %-44s  %8.2f MIPS  %7.1f ns/instr  %9llu instr  %s\n",
+              pp.point.spec.c_str(), pp.simulated_mips(),
+              pp.ns_per_instruction(),
+              static_cast<unsigned long long>(pp.simulated_instructions()),
+              pp.point.results_ok ? "ok" : "RESULTS MISMATCH");
+          if (!pp.point.results_ok)
+            std::fprintf(out, "  !! %s\n", pp.point.mismatch_summary().c_str());
+        }
+        const double agg_mips =
+            total_point_secs <= 0.0
+                ? 0.0
+                : static_cast<double>(total_instructions) /
+                      (total_point_secs * 1e6);
+        const double sweep_mips =
+            sweep.seconds <= 0.0
+                ? 0.0
+                : static_cast<double>(total_instructions) /
+                      (sweep.seconds * 1e6);
+        std::fprintf(out,
+                     "aggregate: %llu simulated instructions, %.2f MIPS per "
+                     "worker, %.2f MIPS end-to-end\n",
+                     static_cast<unsigned long long>(total_instructions),
+                     agg_mips, sweep_mips);
+        return all_ok;
+      });
 }

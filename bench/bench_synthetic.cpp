@@ -18,16 +18,6 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "synthetic kernel family: all kernels x "
-                                 "{legacy, SeMPE, CTE}",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 4);
   std::vector<std::string> specs;
   for (const workloads::SynthKind kind : workloads::all_synth_kinds()) {
@@ -41,32 +31,20 @@ int main(int argc, char** argv) {
       }
     }
   }
-  auto jobs = sim::workload_grid(specs, sim::MicrobenchOptions{});
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_workload_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  bool all_ok = true;
-  for (const auto& pt : run.points) {
-    all_ok = all_ok && pt.results_ok;
-    std::fprintf(out,
-                 "synthetic  %-48s  SeMPE %6.2fx   CTE %7.2fx   %s\n",
-                 pt.spec.c_str(), pt.sempe_slowdown(), pt.cte_slowdown(),
-                 pt.results_ok ? "ok" : "RESULTS MISMATCH");
-    if (!pt.results_ok)
-      std::fprintf(out, "  !! %s\n", pt.mismatch_summary().c_str());
-  }
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "synthetic", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::workload_json("synthetic", jobs, run)))
-    return 1;
-  return all_ok ? 0 : 1;
+  return sim::bench_main<sim::WorkloadFamily>(
+      argc, argv, "synthetic",
+      "synthetic kernel family: all kernels x {legacy, SeMPE, CTE}",
+      sim::workload_grid(specs, {}), [](std::FILE* out, const auto& sweep) {
+        bool all_ok = true;
+        for (const auto& pt : sweep.run.points) {
+          all_ok = all_ok && pt.results_ok;
+          std::fprintf(out,
+                       "synthetic  %-48s  SeMPE %6.2fx   CTE %7.2fx   %s\n",
+                       pt.spec.c_str(), pt.sempe_slowdown(), pt.cte_slowdown(),
+                       pt.results_ok ? "ok" : "RESULTS MISMATCH");
+          if (!pt.results_ok)
+            std::fprintf(out, "  !! %s\n", pt.mismatch_summary().c_str());
+        }
+        return all_ok;
+      });
 }

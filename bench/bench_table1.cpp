@@ -13,69 +13,48 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "Table I: approaches to eliminate SDBCB",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   sim::MicrobenchOptions opt;
   opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  auto jobs = sim::microbench_grid(sim::all_kinds(), {10}, opt);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_microbench_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  // Worst case over whatever points this run has (--jobs / --shard may
-  // restrict the set; the full table needs the unrestricted sweep).
-  double worst_cte = 0, worst_sempe = 0;
-  for (const auto& pt : run.points) {
-    worst_cte = std::max(worst_cte, pt.cte_slowdown());
-    worst_sempe = std::max(worst_sempe, pt.sempe_slowdown());
-  }
-
-  std::fprintf(out,
-      "\nTable I: Comparing approaches to eliminate SDBCB\n"
-      "%-22s %-12s %-12s %-12s %-12s\n", "Aspect", "CTE", "GhostRider",
-      "Raccoon", "SeMPE");
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Approach", "elim.branch",
-              "equal.path", "both paths", "both paths");
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Technique", "SW", "HW/SW",
-              "SW", "HW/SW");
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Prog. complexity", "High",
-              "Low", "Low", "Low");
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Reported overheads",
-              "187.3x", "1987x", "452x", "10.6x");
-  char cte_s[32], sempe_s[32];
-  std::snprintf(cte_s, sizeof cte_s, "%.1fx", worst_cte);
-  std::snprintf(sempe_s, sizeof sempe_s, "%.1fx", worst_sempe);
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Measured here (W=10)",
-              cte_s, "-", "-", sempe_s);
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n", "Simple architecture", "Yes",
-              "No", "Yes", "Yes");
-  std::fprintf(out,
-      "%-22s %-12s %-12s %-12s %-12s\n\n", "Backward compatible",
-              "Yes", "No", "No", "Yes");
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "table1", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::microbench_json("table1", jobs, run)))
-    return 1;
-  return 0;
+  return sim::bench_main<sim::MicrobenchFamily>(
+      argc, argv, "table1", "Table I: approaches to eliminate SDBCB",
+      sim::microbench_grid(sim::all_kinds(), {10}, opt),
+      [](std::FILE* out, const auto& sweep) {
+        // Worst case over whatever points this run has (--jobs / --shard
+        // may restrict the set; the full table needs the unrestricted
+        // sweep).
+        double worst_cte = 0, worst_sempe = 0;
+        for (const auto& pt : sweep.run.points) {
+          worst_cte = std::max(worst_cte, pt.cte_slowdown());
+          worst_sempe = std::max(worst_sempe, pt.sempe_slowdown());
+        }
+        std::fprintf(out,
+            "\nTable I: Comparing approaches to eliminate SDBCB\n"
+            "%-22s %-12s %-12s %-12s %-12s\n", "Aspect", "CTE", "GhostRider",
+            "Raccoon", "SeMPE");
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Approach", "elim.branch",
+                    "equal.path", "both paths", "both paths");
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Technique", "SW", "HW/SW",
+                    "SW", "HW/SW");
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Prog. complexity", "High",
+                    "Low", "Low", "Low");
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Reported overheads",
+                    "187.3x", "1987x", "452x", "10.6x");
+        char cte_s[32], sempe_s[32];
+        std::snprintf(cte_s, sizeof cte_s, "%.1fx", worst_cte);
+        std::snprintf(sempe_s, sizeof sempe_s, "%.1fx", worst_sempe);
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Measured here (W=10)",
+                    cte_s, "-", "-", sempe_s);
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n", "Simple architecture", "Yes",
+                    "No", "Yes", "Yes");
+        std::fprintf(out,
+            "%-22s %-12s %-12s %-12s %-12s\n\n", "Backward compatible",
+                    "Yes", "No", "No", "Yes");
+        return true;
+      });
 }

@@ -11,56 +11,28 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "Table II: baseline machine model",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
-  const auto cfg = sim::table2_machine();
-
-  sim::MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  std::vector<sim::MicrobenchJob> jobs;
-  {
-    sim::MicrobenchJob j;
-    j.label = "selfcheck/ones/W=2";
-    j.kind = workloads::Kind::kOnes;
-    j.width = 2;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_microbench_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  std::fprintf(out, "\n%s\n", sim::describe(cfg).c_str());
-  // A --jobs filter or a non-owning shard can leave the single self-check
-  // point to another invocation; the table itself still prints.
-  if (!run.points.empty()) {
-    const auto& pt = run.points[0];
-    const double ipc =
-        pt.baseline_cycles == 0
-            ? 0.0
-            : static_cast<double>(pt.baseline_instructions) /
-                  static_cast<double>(pt.baseline_cycles);
-    std::fprintf(out, "self-check IPC on ones/W=2: %.2f\n", ipc);
-  }
-  std::fprintf(out, "\n");
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "table2", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::microbench_json("table2", jobs, run)))
-    return 1;
-  return 0;
+  sim::MicrobenchJob selfcheck;
+  selfcheck.label = "selfcheck/ones/W=2";
+  selfcheck.kind = workloads::Kind::kOnes;
+  selfcheck.width = 2;
+  selfcheck.opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
+  return sim::bench_main<sim::MicrobenchFamily>(
+      argc, argv, "table2", "Table II: baseline machine model", {selfcheck},
+      [](std::FILE* out, const auto& sweep) {
+        std::fprintf(out, "\n%s\n",
+                     sim::describe(sim::table2_machine()).c_str());
+        // A --jobs filter or a non-owning shard can leave the single
+        // self-check point to another invocation; the table still prints.
+        if (!sweep.run.points.empty()) {
+          const auto& pt = sweep.run.points[0];
+          const double ipc =
+              pt.baseline_cycles == 0
+                  ? 0.0
+                  : static_cast<double>(pt.baseline_instructions) /
+                        static_cast<double>(pt.baseline_cycles);
+          std::fprintf(out, "self-check IPC on ones/W=2: %.2f\n", ipc);
+        }
+        std::fprintf(out, "\n");
+        return true;
+      });
 }

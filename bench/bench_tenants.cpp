@@ -26,22 +26,10 @@
 
 int main(int argc, char** argv) {
   using namespace sempe;
-  const sim::BatchCli cli = sim::parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (sim::batch_cli_should_exit(cli, argc, argv,
-                                 "multi-tenant co-residence: attack.* "
-                                 "workloads x secret space x {legacy, "
-                                 "SeMPE, CTE}, with key-bit recovery",
-                                 &exit_code))
-    return exit_code;
-  std::FILE* const out = sim::report_stream(cli);
-  auto obs_session = sim::make_obs_session(cli);
-
   security::AuditOptions opt;
   opt.samples = sim::env_usize("SEMPE_AUDIT_SAMPLES", 4);
   opt.stat_samples = sim::env_usize("SEMPE_STAT_SAMPLES", 0);
   opt.stat_budget = sim::env_usize("SEMPE_STAT_BUDGET", 0);
-
   const std::vector<std::string> specs = {
       // The acceptance-criterion point, at its registry defaults.
       "attack.prime_probe?victim=crypto.modexp",
@@ -49,46 +37,34 @@ int main(int argc, char** argv) {
       "attack.prime_probe?victim=crypto.modexp&width=4&size=8&bits=8&iters=2",
       "attack.flush_reload?victim=crypto.modexp&width=4&size=8&bits=8&iters=2",
   };
-  auto jobs = sim::tenant_grid(specs, opt);
-  sim::apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  const auto run = sim::run_tenant_sweep(jobs, sim::sweep_options(cli));
-  const double secs = sweep_sw.elapsed_seconds();
-
-  bool all_ok = true;
-  for (const auto& pt : run.points) {
-    const security::WorkloadAudit& a = pt.audit;
-    const bool gate = pt.legacy_recovers() && pt.at_chance("sempe") &&
-                      pt.at_chance("cte") && pt.results_ok();
-    all_ok = all_ok && gate;
-    std::fprintf(out, "tenants  %-70s  W=%zu n=%zu", a.spec.c_str(),
-                 a.secret_width, a.masks.size());
-    for (const security::ModeAudit& m : a.modes)
-      std::fprintf(out, "  %s: %.0f%%%s", m.mode.c_str(),
-                   100.0 * m.recovery_rate(),
-                   m.indistinguishable() ? " (closed)" : "");
-    std::fprintf(out, "  %s\n", gate ? "ok" : "GATE FAIL");
-    if (!pt.legacy_recovers())
-      std::fprintf(out, "  !! legacy recovered only %.1f%% of the key\n",
-                   100.0 * pt.recovery_rate("legacy"));
-    if (!pt.at_chance("sempe") || !pt.at_chance("cte"))
-      std::fprintf(out, "  !! a protected mode is distinguishable: %s\n",
-                   a.mode("sempe") != nullptr
-                       ? a.mode("sempe")->first_divergence().c_str()
-                       : "");
-    if (!pt.results_ok())
-      std::fprintf(out, "  !! results mismatch\n");
-  }
-  std::fprintf(stderr, "attacked %zu point(s) in %.2fs on %zu thread(s)\n",
-               run.points.size(), secs,
-               sim::resolve_threads(cli.threads, run.points.size()));
-
-  if (!sim::finish_obs_session(cli, "tenants", std::move(obs_session)))
-    return 1;
-
-  if (cli.want_json &&
-      !sim::emit_json(cli, sim::tenant_json("tenants", jobs, run)))
-    return 1;
-  return all_ok ? 0 : 1;
+  return sim::bench_main<sim::TenantFamily>(
+      argc, argv, "tenants",
+      "multi-tenant co-residence: attack.* workloads x secret space x "
+      "{legacy, SeMPE, CTE}, with key-bit recovery",
+      sim::tenant_grid(specs, opt), [](std::FILE* out, const auto& sweep) {
+        bool all_ok = true;
+        for (const auto& pt : sweep.run.points) {
+          const security::WorkloadAudit& a = pt.audit;
+          const bool gate = pt.legacy_recovers() && pt.at_chance("sempe") &&
+                            pt.at_chance("cte") && pt.results_ok();
+          all_ok = all_ok && gate;
+          std::fprintf(out, "tenants  %-70s  W=%zu n=%zu", a.spec.c_str(),
+                       a.secret_width, a.masks.size());
+          for (const security::ModeAudit& m : a.modes)
+            std::fprintf(out, "  %s: %.0f%%%s", m.mode.c_str(),
+                         100.0 * m.recovery_rate(),
+                         m.indistinguishable() ? " (closed)" : "");
+          std::fprintf(out, "  %s\n", gate ? "ok" : "GATE FAIL");
+          if (!pt.legacy_recovers())
+            std::fprintf(out, "  !! legacy recovered only %.1f%% of the key\n",
+                         100.0 * pt.recovery_rate("legacy"));
+          if (!pt.at_chance("sempe") || !pt.at_chance("cte"))
+            std::fprintf(out, "  !! a protected mode is distinguishable: %s\n",
+                         a.mode("sempe") != nullptr
+                             ? a.mode("sempe")->first_divergence().c_str()
+                             : "");
+          if (!pt.results_ok()) std::fprintf(out, "  !! results mismatch\n");
+        }
+        return all_ok;
+      });
 }

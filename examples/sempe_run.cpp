@@ -168,7 +168,7 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
   // here: a warm cache replays the stored WorkloadAudit verbatim.
   auto jobs = sim::leakage_grid({spec_text}, opt);
   sim::apply_job_filter(jobs, cli);
-  const auto run = sim::run_leakage_sweep(jobs, sim::sweep_options(cli));
+  const auto run = sim::run_sweep<sim::LeakageFamily>(jobs, cli.sweep);
 
   bool ok = true;
   for (const auto& pt : run.points) {
@@ -188,7 +188,8 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
                  "audit: the job was filtered out or belongs to another "
                  "shard; nothing ran\n");
   if (cli.want_json &&
-      !sim::emit_json(cli, sim::leakage_json("audit", jobs, run)))
+      !sim::emit_json(cli,
+                      sim::sweep_json<sim::LeakageFamily>("audit", jobs, run)))
     return 1;
   return ok ? 0 : 3;
 }
@@ -339,12 +340,12 @@ int main(int argc, char** argv) {
   // The shared sweep flags only make sense for --audit, the one mode that
   // dispatches through the batch runner.
   const char* sweep_flag = cli.want_json          ? "--json"
-                           : cli.threads != 0      ? "--threads"
-                           : cli.shard_count != 1  ? "--shard"
-                           : !cli.cache_dir.empty() ? "--cache-dir"
-                           : !cli.journal_path.empty() ? "--journal"
-                           : !cli.jobs_regex.empty()   ? "--jobs"
-                                                       : nullptr;
+                           : cli.sweep.threads != 0 ? "--threads"
+                           : cli.sweep.shard.count != 1 ? "--shard"
+                           : !cli.sweep.cache_dir.empty() ? "--cache-dir"
+                           : !cli.sweep.journal_path.empty() ? "--journal"
+                           : !cli.jobs_regex.empty() ? "--jobs"
+                                                     : nullptr;
 
   if (list) {
     if (argc > 2 || sweep_flag != nullptr || cli.progress ||

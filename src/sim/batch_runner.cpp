@@ -9,7 +9,6 @@
 
 #include "sim/job_key.h"
 #include "sim/sweep_codec.h"
-#include "util/check.h"
 #include "util/fingerprint.h"
 #include "workloads/scenarios.h"
 #include "workloads/synthetic.h"
@@ -59,51 +58,44 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-void append_kv_u64(std::string& out, const char* key, u64 v,
-                   bool last = false) {
-  append_f(out, "      \"%s\": %" PRIu64 "%s\n", key, v, last ? "" : ",");
-}
+}  // namespace
 
-void append_kv_f(std::string& out, const char* key, double v,
-                 bool last = false) {
-  append_f(out, "      \"%s\": %.6f%s\n", key, v, last ? "" : ",");
-}
-
-void append_kv_s(std::string& out, const char* key, const std::string& v,
-                 bool last = false) {
-  append_f(out, "      \"%s\": \"%s\"%s\n", key, json_escape(v).c_str(),
-           last ? "" : ",");
-}
-
-// How an emitter maps point positions back to the (full) job list: the
-// identity for a plain sweep, run.indices for a sharded/filtered one.
-// Sharded documents (count > 1) additionally carry the shard meta line
-// and a per-point "_index" annotation, which is exactly the information
-// merge_shard_json strips back out — an unsharded document never carries
-// either, so the pre-orchestration byte format (and every golden pin) is
-// unchanged.
-struct SweepView {
-  const std::vector<usize>* indices = nullptr;  // nullptr = identity
-  ShardSpec shard;
-
-  usize global(usize k) const {
-    return indices == nullptr ? k : (*indices)[k];
+// Every line ends in a comma; sweep_json drops the last one.
+class JsonFields {
+ public:
+  explicit JsonFields(std::string& out) : out_(out) {}
+  void u(const std::string& key, u64 v) {
+    append_f(out_, "      \"%s\": %" PRIu64 ",\n", key.c_str(), v);
   }
-  bool sharded() const { return shard.count > 1; }
+  void f(const std::string& key, double v) {
+    append_f(out_, "      \"%s\": %.6f,\n", key.c_str(), v);
+  }
+  void s(const std::string& key, const std::string& v) {
+    append_f(out_, "      \"%s\": \"%s\",\n", key.c_str(),
+             json_escape(v).c_str());
+  }
+
+ private:
+  std::string& out_;
 };
+
+namespace {
 
 // The metadata header. `threads` is deliberately the constant 0: results
 // are thread-count invariant by construction, and recording the actual
 // worker count would break the byte-identical-across---threads guarantee.
+// A sharded document (count > 1) additionally carries the shard meta line
+// — and each point an "_index" — which is exactly the information
+// merge_shard_json strips back out; an unsharded document carries
+// neither.
 std::string json_header(const std::string& experiment,
                         const std::string& workload, const char* modes,
-                        const SweepView& view = {}) {
+                        const ShardSpec& shard) {
   std::string out = "{\n";
   out += "  \"meta\": {\n";
   append_f(out, "    \"schema_version\": %d,\n", kResultSchemaVersion);
-  if (view.sharded())
-    append_f(out, "    \"shard\": \"%zu/%zu\",\n", view.shard.index,
-             view.shard.count);
+  if (shard.count > 1)
+    append_f(out, "    \"shard\": \"%zu/%zu\",\n", shard.index, shard.count);
   append_f(out, "    \"experiment\": \"%s\",\n",
            json_escape(experiment).c_str());
   append_f(out, "    \"workload\": \"%s\",\n", json_escape(workload).c_str());
@@ -114,13 +106,26 @@ std::string json_header(const std::string& experiment,
   return out;
 }
 
-void begin_point(std::string& out, const SweepView& view, usize k) {
-  out += "    {\n";
-  if (view.sharded())
-    append_f(out, "      \"_index\": %zu,\n", view.global(k));
+// Header workload field: the distinct generator names, in job order —
+// always over the FULL job list, so shard documents carry the same meta
+// header as the unsharded run. Families without specs name themselves.
+template <typename F>
+std::string workload_field(const std::vector<typename F::Job>& jobs) {
+  if constexpr (requires(const typename F::Job& j) { j.spec; }) {
+    std::vector<std::string> seen;
+    std::string generators;
+    for (const auto& j : jobs) {
+      const std::string name = j.spec.substr(0, j.spec.find('?'));
+      if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
+      seen.push_back(name);
+      if (!generators.empty()) generators += ',';
+      generators += name;
+    }
+    return generators;
+  } else {
+    return F::kName;
+  }
 }
-
-void json_footer(std::string& out) { out += "  ]\n}\n"; }
 
 }  // namespace
 
@@ -134,17 +139,10 @@ usize resolve_threads(usize requested, usize jobs) {
   return n == 0 ? 1 : n;
 }
 
-namespace {
-
-/// The orchestrated sweep shared by every job family: shard selection,
-/// journal/cache resolution of each selected job (single-threaded, so the
-/// CacheStats accounting is deterministic), then parallel execution of
-/// whatever could not be resolved, with write-back as each job retires.
-template <typename Job, typename Point, typename MeasureFn, typename EncodeFn,
-          typename DecodeFn>
-SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
-                               const SweepOptions& opt, MeasureFn measure,
-                               EncodeFn encode, DecodeFn decode) {
+template <typename F>
+SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
+                                      const SweepOptions& opt) {
+  using Point = typename F::Point;
   if (opt.shard.count == 0 || opt.shard.index >= opt.shard.count)
     throw SimError("bad shard " + std::to_string(opt.shard.index) + "/" +
                    std::to_string(opt.shard.count));
@@ -154,228 +152,148 @@ SweepRun<Point> run_sweep_impl(const std::vector<Job>& jobs,
   for (usize i = opt.shard.index; i < jobs.size(); i += opt.shard.count)
     run.indices.push_back(i);
   const usize n = run.indices.size();
+  // Touch the registry before fanning out: its lazy construction is the
+  // only shared mutable state a job could race on.
+  workloads::WorkloadRegistry::instance();
 
   const bool persist = !opt.cache_dir.empty() || !opt.journal_path.empty();
   if (!persist) {
     run.points = run_indexed_labeled(
         n, opt.threads,
-        [&](usize k) { return measure(jobs[run.indices[k]]); },
+        [&](usize k) { return F::measure(jobs[run.indices[k]]); },
         [&](usize k) { return jobs[run.indices[k]].label; });
     return run;
   }
+  if constexpr (!CachedFamily<F>) {
+    throw SimError(std::string(F::kName) +
+                   " points are measured fresh on every run: " +
+                   (opt.cache_dir.empty() ? "--journal" : "--cache-dir") +
+                   " is not supported");
+  } else {
+    const std::string fingerprint =
+        opt.fingerprint.empty() ? code_fingerprint() : opt.fingerprint;
+    std::unique_ptr<SweepCache> cache;
+    if (!opt.cache_dir.empty())
+      cache = std::make_unique<SweepCache>(opt.cache_dir, fingerprint);
+    std::unique_ptr<SweepJournal> journal;
+    if (!opt.journal_path.empty())
+      journal = std::make_unique<SweepJournal>(opt.journal_path);
 
-  const std::string fingerprint =
-      opt.fingerprint.empty() ? code_fingerprint() : opt.fingerprint;
-  std::unique_ptr<SweepCache> cache;
-  if (!opt.cache_dir.empty())
-    cache = std::make_unique<SweepCache>(opt.cache_dir, fingerprint);
-  std::unique_ptr<SweepJournal> journal;
-  if (!opt.journal_path.empty())
-    journal = std::make_unique<SweepJournal>(opt.journal_path);
-
-  // Planning pass: resolve each selected job from the journal first (the
-  // resume path), then the cache. Every unresolved job is counted exactly
-  // once as miss, stale, or corrupt.
-  run.points.resize(n);
-  std::vector<std::string> keys(n);
-  std::vector<usize> pending;  // positions into run.indices / run.points
-  for (usize k = 0; k < n; ++k) {
-    keys[k] = job_cache_key(jobs[run.indices[k]], fingerprint);
-    bool counted = false;
-    if (journal != nullptr) {
-      if (const std::string* blob = journal->find(keys[k])) {
-        try {
-          run.points[k] = decode(*blob);
-          ++run.cache.journal_hits;
-          continue;
-        } catch (const SimError&) {
-          ++run.cache.corrupt;
+    // Planning pass: resolve each selected job from the journal first (the
+    // resume path), then the cache. Every unresolved job is counted exactly
+    // once as miss, stale, or corrupt.
+    run.points.resize(n);
+    std::vector<std::string> keys(n);
+    std::vector<usize> pending;  // positions into run.indices / run.points
+    for (usize k = 0; k < n; ++k) {
+      keys[k] = job_identity<F>(jobs[run.indices[k]], fingerprint).key();
+      bool counted = false;
+      if (journal != nullptr) {
+        if (const std::string* blob = journal->find(keys[k])) {
+          try {
+            run.points[k] = decode_point<F>(*blob);
+            ++run.cache.journal_hits;
+            continue;
+          } catch (const SimError&) {
+            ++run.cache.corrupt;
+            counted = true;
+          }
+        }
+      }
+      if (cache != nullptr) {
+        const SweepCache::Lookup hit = cache->lookup(keys[k]);
+        if (hit.status == SweepCache::Status::kHit) {
+          try {
+            Point p = decode_point<F>(hit.blob);
+            ++run.cache.hits;
+            // The journal holds no decodable record of this job (that
+            // would have resolved it above), so mirror the hit: a later
+            // kill + resume replays it even if the cache has been pruned
+            // meanwhile, and a corrupt record is superseded.
+            if (journal != nullptr) journal->append(keys[k], hit.blob);
+            run.points[k] = std::move(p);
+            continue;
+          } catch (const SimError&) {
+            if (!counted) ++run.cache.corrupt;
+            counted = true;
+          }
+        } else if (hit.status == SweepCache::Status::kStale) {
+          if (!counted) ++run.cache.stale;
           counted = true;
         }
       }
+      if (!counted) ++run.cache.misses;
+      pending.push_back(k);
     }
-    if (cache != nullptr) {
-      const SweepCache::Lookup hit = cache->lookup(keys[k]);
-      if (hit.status == SweepCache::Status::kHit) {
-        try {
-          Point p = decode(hit.blob);
-          ++run.cache.hits;
-          // Mirror the hit into the journal so a later kill + resume
-          // replays it even if the cache has been pruned meanwhile.
-          if (journal != nullptr && !journal->contains(keys[k]))
-            journal->append(keys[k], hit.blob);
-          run.points[k] = std::move(p);
-          continue;
-        } catch (const SimError&) {
-          if (!counted) ++run.cache.corrupt;
-          counted = true;
-        }
-      } else if (hit.status == SweepCache::Status::kStale) {
-        if (!counted) ++run.cache.stale;
-        counted = true;
-      }
+    if (cache != nullptr) run.cache.stores = pending.size();
+
+    auto executed = run_indexed_labeled(
+        pending.size(), opt.threads,
+        [&](usize j) {
+          const usize k = pending[j];
+          Point p = F::measure(jobs[run.indices[k]]);
+          const std::string blob = encode_point<F>(p);
+          if (cache != nullptr) cache->store(keys[k], blob);
+          if (journal != nullptr) journal->append(keys[k], blob);
+          return p;
+        },
+        [&](usize j) { return jobs[run.indices[pending[j]]].label; });
+    for (usize j = 0; j < pending.size(); ++j)
+      run.points[pending[j]] = std::move(executed[j]);
+
+    std::fprintf(stderr,
+                 "sweep: %zu job(s): %" PRIu64 " cache hit(s), %" PRIu64
+                 " journal hit(s), %" PRIu64 " stale, %" PRIu64
+                 " corrupt, %zu executed\n",
+                 n, run.cache.hits, run.cache.journal_hits, run.cache.stale,
+                 run.cache.corrupt, pending.size());
+    obs::Session* const os = obs::session();
+    if (os != nullptr && os->metrics_enabled()) {
+      auto& m = os->metrics().local();
+      m.add("sweep.cache_hits", run.cache.hits);
+      m.add("sweep.cache_misses", run.cache.misses);
+      m.add("sweep.cache_stale", run.cache.stale);
+      m.add("sweep.cache_corrupt", run.cache.corrupt);
+      m.add("sweep.cache_stores", run.cache.stores);
+      m.add("sweep.journal_hits", run.cache.journal_hits);
+      if (journal != nullptr)
+        m.add("sweep.journal_replayed", journal->replayed());
     }
-    if (!counted) ++run.cache.misses;
-    pending.push_back(k);
+    return run;
   }
-  if (cache != nullptr) run.cache.stores = pending.size();
+}
 
-  auto executed = run_indexed_labeled(
-      pending.size(), opt.threads,
-      [&](usize j) {
-        const usize k = pending[j];
-        Point p = measure(jobs[run.indices[k]]);
-        const std::string blob = encode(p);
-        if (cache != nullptr) cache->store(keys[k], blob);
-        if (journal != nullptr) journal->append(keys[k], blob);
-        return p;
-      },
-      [&](usize j) { return jobs[run.indices[pending[j]]].label; });
-  for (usize j = 0; j < pending.size(); ++j)
-    run.points[pending[j]] = std::move(executed[j]);
-
-  std::fprintf(stderr,
-               "sweep: %zu job(s): %" PRIu64 " cache hit(s), %" PRIu64
-               " journal hit(s), %" PRIu64 " stale, %" PRIu64
-               " corrupt, %zu executed\n",
-               n, run.cache.hits, run.cache.journal_hits, run.cache.stale,
-               run.cache.corrupt, pending.size());
-  obs::Session* const os = obs::session();
-  if (os != nullptr && os->metrics_enabled()) {
-    auto& m = os->metrics().local();
-    m.add("sweep.cache_hits", run.cache.hits);
-    m.add("sweep.cache_misses", run.cache.misses);
-    m.add("sweep.cache_stale", run.cache.stale);
-    m.add("sweep.cache_corrupt", run.cache.corrupt);
-    m.add("sweep.cache_stores", run.cache.stores);
-    m.add("sweep.journal_hits", run.cache.journal_hits);
-    if (journal != nullptr) m.add("sweep.journal_replayed", journal->replayed());
+template <typename F>
+std::string sweep_json(const std::string& experiment,
+                       const std::vector<typename F::Job>& jobs,
+                       const SweepRun<typename F::Point>& run) {
+  SEMPE_CHECK(run.points.size() == run.indices.size());
+  SEMPE_CHECK(run.total_jobs == jobs.size());
+  std::string out =
+      json_header(experiment, workload_field<F>(jobs), F::kModes, run.shard);
+  for (usize k = 0; k < run.points.size(); ++k) {
+    const typename F::Job& job = jobs[run.indices[k]];
+    out += "    {\n";
+    if (run.shard.count > 1)
+      append_f(out, "      \"_index\": %zu,\n", run.indices[k]);
+    JsonFields fields(out);
+    fields.s("label", job.label);
+    F::json(fields, job, run.points[k]);
+    out.erase(out.size() - 2, 1);  // the last field takes no comma
+    out += k + 1 == run.points.size() ? "    }\n" : "    },\n";
   }
-  return run;
+  out += "  ]\n}\n";
+  return out;
 }
 
-}  // namespace
-
-SweepRun<MicrobenchPoint> run_microbench_sweep(
-    const std::vector<MicrobenchJob>& jobs, const SweepOptions& opt) {
-  return run_sweep_impl<MicrobenchJob, MicrobenchPoint>(
-      jobs, opt,
-      [](const MicrobenchJob& j) {
-        return measure_microbench(j.kind, j.width, j.opt);
-      },
-      [](const MicrobenchPoint& p) { return encode_point(p); },
-      decode_microbench_point);
-}
-
-SweepRun<DjpegPoint> run_djpeg_sweep(const std::vector<DjpegJob>& jobs,
-                                     const SweepOptions& opt) {
-  return run_sweep_impl<DjpegJob, DjpegPoint>(
-      jobs, opt,
-      [](const DjpegJob& j) {
-        return measure_djpeg(j.format, j.pixels, j.scale, j.image_seed);
-      },
-      [](const DjpegPoint& p) { return encode_point(p); }, decode_djpeg_point);
-}
-
-SweepRun<WorkloadPoint> run_workload_sweep(const std::vector<WorkloadJob>& jobs,
-                                           const SweepOptions& opt) {
-  // Touch the registry before fanning out: its lazy construction is the
-  // only shared mutable state a workload job could race on.
-  workloads::WorkloadRegistry::instance();
-  return run_sweep_impl<WorkloadJob, WorkloadPoint>(
-      jobs, opt,
-      [](const WorkloadJob& j) { return measure_workload(j.spec, j.opt); },
-      [](const WorkloadPoint& p) { return encode_point(p); },
-      decode_workload_point);
-}
-
-SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
-                                         const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<LeakageJob, LeakagePoint>(
-      jobs, opt,
-      [](const LeakageJob& j) { return measure_leakage(j.spec, j.opt); },
-      [](const LeakagePoint& p) { return encode_point(p); },
-      decode_leakage_point);
-}
-
-SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
-                                   const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<LintJob, LintPoint>(
-      jobs, opt,
-      [](const LintJob& j) { return measure_lint(j.spec, j.opt); },
-      [](const LintPoint& p) { return encode_point(p); }, decode_lint_point);
-}
-
-SweepRun<PerfPoint> run_perf_sweep(const std::vector<PerfJob>& jobs,
-                                   const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<PerfJob, PerfPoint>(
-      jobs, opt,
-      [](const PerfJob& j) { return measure_perf(j.spec, j.opt); },
-      [](const PerfPoint& p) { return encode_point(p); }, decode_perf_point);
-}
-
-SweepRun<TenantPoint> run_tenant_sweep(const std::vector<TenantJob>& jobs,
-                                       const SweepOptions& opt) {
-  workloads::WorkloadRegistry::instance();  // pre-touch, as above
-  return run_sweep_impl<TenantJob, TenantPoint>(
-      jobs, opt,
-      [](const TenantJob& j) { return measure_tenant(j.spec, j.opt); },
-      [](const TenantPoint& p) { return encode_point(p); },
-      decode_tenant_point);
-}
-
-namespace {
-
-template <typename Point>
-std::vector<Point> sweep_points(SweepRun<Point> run) {
-  return std::move(run.points);
-}
-
-SweepOptions threads_only(usize threads) {
-  SweepOptions opt;
-  opt.threads = threads;
-  return opt;
-}
-
-}  // namespace
-
-std::vector<MicrobenchPoint> run_microbench_jobs(
-    const std::vector<MicrobenchJob>& jobs, usize threads) {
-  return sweep_points(run_microbench_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<DjpegPoint> run_djpeg_jobs(const std::vector<DjpegJob>& jobs,
-                                       usize threads) {
-  return sweep_points(run_djpeg_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<WorkloadPoint> run_workload_jobs(
-    const std::vector<WorkloadJob>& jobs, usize threads) {
-  return sweep_points(run_workload_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<LeakagePoint> run_leakage_jobs(
-    const std::vector<LeakageJob>& jobs, usize threads) {
-  return sweep_points(run_leakage_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<LintPoint> run_lint_jobs(const std::vector<LintJob>& jobs,
-                                     usize threads) {
-  return sweep_points(run_lint_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<PerfPoint> run_perf_jobs(const std::vector<PerfJob>& jobs,
-                                     usize threads) {
-  return sweep_points(run_perf_sweep(jobs, threads_only(threads)));
-}
-
-std::vector<TenantPoint> run_tenant_jobs(const std::vector<TenantJob>& jobs,
-                                         usize threads) {
-  return sweep_points(run_tenant_sweep(jobs, threads_only(threads)));
-}
+#define SEMPE_INSTANTIATE_FAMILY(F)                                         \
+  template SweepRun<F::Point> run_sweep<F>(const std::vector<F::Job>&,     \
+                                           const SweepOptions&);           \
+  template std::string sweep_json<F>(const std::string&,                   \
+                                     const std::vector<F::Job>&,           \
+                                     const SweepRun<F::Point>&);
+SEMPE_SWEEP_FAMILIES(SEMPE_INSTANTIATE_FAMILY)
+#undef SEMPE_INSTANTIATE_FAMILY
 
 std::vector<MicrobenchJob> microbench_grid(
     const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
@@ -415,76 +333,6 @@ std::vector<DjpegJob> djpeg_grid(
   return jobs;
 }
 
-std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
-                                       const MicrobenchOptions& opt) {
-  std::vector<WorkloadJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    WorkloadJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
-                                     const security::AuditOptions& opt) {
-  std::vector<LeakageJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    LeakageJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
-                               const security::AuditOptions& opt) {
-  std::vector<LintJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    LintJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<PerfJob> perf_grid(const std::vector<std::string>& specs,
-                               const MicrobenchOptions& opt) {
-  std::vector<PerfJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    PerfJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
-std::vector<TenantJob> tenant_grid(const std::vector<std::string>& specs,
-                                   const security::AuditOptions& opt) {
-  std::vector<TenantJob> jobs;
-  jobs.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    TenantJob j;
-    j.label = spec;
-    j.spec = spec;
-    j.opt = opt;
-    jobs.push_back(std::move(j));
-  }
-  return jobs;
-}
-
 std::vector<std::string> perf_sweep_specs(usize iters) {
   std::vector<std::string> specs;
   const std::string tail =
@@ -494,6 +342,18 @@ std::vector<std::string> perf_sweep_specs(usize iters) {
                     tail);
   for (const workloads::ScenarioKind kind : workloads::all_scenario_kinds())
     specs.push_back(std::string(workloads::scenario_name(kind)) + tail);
+  return specs;
+}
+
+std::vector<std::string> registry_audit_specs(usize iters) {
+  std::vector<std::string> specs;
+  for (const std::string& name :
+       workloads::WorkloadRegistry::instance().names()) {
+    if (name.rfind("attack.", 0) == 0) continue;
+    specs.push_back(name == "djpeg"
+                        ? "djpeg?pixels=4096&scale=16"
+                        : name + "?width=3&iters=" + std::to_string(iters));
+  }
   return specs;
 }
 
@@ -510,246 +370,140 @@ const std::vector<usize>& djpeg_sizes() {
   return sizes;
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// The JSON projections of the family rows.
 
-std::string microbench_json_impl(const std::string& experiment,
-                                 const std::vector<MicrobenchJob>& jobs,
-                                 const std::vector<MicrobenchPoint>& points,
-                                 const SweepView& view) {
-  std::string out =
-      json_header(experiment, "microbench", "legacy,sempe,cte,ideal", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const MicrobenchPoint& p = points[i];
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "kind", workloads::kind_name(p.kind));
-    append_kv_u64(out, "width", p.width);
-    append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
-    append_kv_u64(out, "cte_cycles", p.cte_cycles);
-    append_kv_u64(out, "ideal_combined_cycles", p.ideal_combined_cycles);
-    append_kv_u64(out, "ideal_standalone_cycles", p.ideal_standalone_cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline_instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe_instructions);
-    append_kv_u64(out, "cte_instructions", p.cte_instructions);
-    append_kv_f(out, "sempe_slowdown", p.sempe_slowdown());
-    append_kv_f(out, "cte_slowdown", p.cte_slowdown());
-    append_kv_f(out, "sempe_vs_ideal_combined", p.sempe_vs_ideal_combined());
-    append_kv_f(out, "sempe_vs_ideal_standalone", p.sempe_vs_ideal_standalone(),
-                /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
-  }
-  json_footer(out);
-  return out;
+void MicrobenchFamily::json(JsonFields& out, const Job&, const Point& p) {
+  out.s("kind", workloads::kind_name(p.kind));
+  out.u("width", p.width);
+  out.u("baseline_cycles", p.baseline_cycles);
+  out.u("sempe_cycles", p.sempe_cycles);
+  out.u("cte_cycles", p.cte_cycles);
+  out.u("ideal_combined_cycles", p.ideal_combined_cycles);
+  out.u("ideal_standalone_cycles", p.ideal_standalone_cycles);
+  out.u("baseline_instructions", p.baseline_instructions);
+  out.u("sempe_instructions", p.sempe_instructions);
+  out.u("cte_instructions", p.cte_instructions);
+  out.f("sempe_slowdown", p.sempe_slowdown());
+  out.f("cte_slowdown", p.cte_slowdown());
+  out.f("sempe_vs_ideal_combined", p.sempe_vs_ideal_combined());
+  out.f("sempe_vs_ideal_standalone", p.sempe_vs_ideal_standalone());
 }
 
-std::string djpeg_json_impl(const std::string& experiment,
-                            const std::vector<DjpegJob>& jobs,
-                            const std::vector<DjpegPoint>& points,
-                            const SweepView& view) {
-  std::string out = json_header(experiment, "djpeg", "legacy,sempe", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const DjpegPoint& p = points[i];
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "format", workloads::format_name(p.format));
-    append_kv_u64(out, "pixels", p.pixels);
-    append_kv_u64(out, "baseline_cycles", p.baseline.cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe.cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline.instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe.instructions);
-    append_kv_f(out, "overhead", p.overhead());
-    append_kv_f(out, "il1_miss_baseline", p.baseline.il1_miss_rate());
-    append_kv_f(out, "il1_miss_sempe", p.sempe.il1_miss_rate());
-    append_kv_f(out, "dl1_miss_baseline", p.baseline.dl1_miss_rate());
-    append_kv_f(out, "dl1_miss_sempe", p.sempe.dl1_miss_rate());
-    append_kv_f(out, "l2_miss_baseline", p.baseline.l2_miss_rate());
-    append_kv_f(out, "l2_miss_sempe", p.sempe.l2_miss_rate(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
-  }
-  json_footer(out);
-  return out;
+void DjpegFamily::json(JsonFields& out, const Job&, const Point& p) {
+  out.s("format", workloads::format_name(p.format));
+  out.u("pixels", p.pixels);
+  out.u("baseline_cycles", p.baseline.cycles);
+  out.u("sempe_cycles", p.sempe.cycles);
+  out.u("baseline_instructions", p.baseline.instructions);
+  out.u("sempe_instructions", p.sempe.instructions);
+  out.f("overhead", p.overhead());
+  out.f("il1_miss_baseline", p.baseline.il1_miss_rate());
+  out.f("il1_miss_sempe", p.sempe.il1_miss_rate());
+  out.f("dl1_miss_baseline", p.baseline.dl1_miss_rate());
+  out.f("dl1_miss_sempe", p.sempe.dl1_miss_rate());
+  out.f("l2_miss_baseline", p.baseline.l2_miss_rate());
+  out.f("l2_miss_sempe", p.sempe.l2_miss_rate());
 }
 
-// Header workload field: the distinct generator names, in job order —
-// always over the FULL job list, so shard documents carry the same meta
-// header as the unsharded run.
-template <typename Job>
-std::string distinct_generators(const std::vector<Job>& jobs) {
-  std::vector<std::string> seen;
-  std::string generators;
-  for (const Job& j : jobs) {
-    const std::string name = j.spec.substr(0, j.spec.find('?'));
-    if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
-    seen.push_back(name);
-    if (!generators.empty()) generators += ',';
-    generators += name;
+void WorkloadFamily::json(JsonFields& out, const Job&, const Point& p) {
+  out.s("spec", p.spec);
+  out.u("has_cte", p.has_cte);
+  out.u("results_ok", p.results_ok);
+  // Per-mode verdicts (modes that did not run count as ok).
+  for (const char* mode : {"legacy", "sempe", "cte"}) {
+    const ModeResultCheck* c = p.check(mode);
+    out.u(std::string(mode) + "_ok", c == nullptr || c->ok);
   }
-  return generators;
+  out.s("result_mismatch", p.mismatch_summary());
+  out.u("baseline_cycles", p.baseline_cycles);
+  out.u("sempe_cycles", p.sempe_cycles);
+  out.u("cte_cycles", p.cte_cycles);
+  out.u("baseline_instructions", p.baseline_instructions);
+  out.u("sempe_instructions", p.sempe_instructions);
+  out.u("cte_instructions", p.cte_instructions);
+  out.f("sempe_slowdown", p.sempe_slowdown());
+  out.f("cte_slowdown", p.cte_slowdown());
 }
 
-std::string workload_json_impl(const std::string& experiment,
-                               const std::vector<WorkloadJob>& jobs,
-                               const std::vector<WorkloadPoint>& points,
-                               const SweepView& view) {
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const WorkloadPoint& p = points[i];
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", p.spec);
-    append_kv_u64(out, "has_cte", p.has_cte ? 1 : 0);
-    append_kv_u64(out, "results_ok", p.results_ok ? 1 : 0);
-    // Per-mode verdicts (modes that did not run count as ok).
-    const ModeResultCheck* lc = p.check("legacy");
-    const ModeResultCheck* sc = p.check("sempe");
-    const ModeResultCheck* cc = p.check("cte");
-    append_kv_u64(out, "legacy_ok", (lc == nullptr || lc->ok) ? 1 : 0);
-    append_kv_u64(out, "sempe_ok", (sc == nullptr || sc->ok) ? 1 : 0);
-    append_kv_u64(out, "cte_ok", (cc == nullptr || cc->ok) ? 1 : 0);
-    append_kv_s(out, "result_mismatch", p.mismatch_summary());
-    append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
-    append_kv_u64(out, "cte_cycles", p.cte_cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline_instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe_instructions);
-    append_kv_u64(out, "cte_instructions", p.cte_instructions);
-    append_kv_f(out, "sempe_slowdown", p.sempe_slowdown());
-    append_kv_f(out, "cte_slowdown", p.cte_slowdown(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
+void LeakageFamily::json(JsonFields& out, const Job&, const Point& p) {
+  const security::WorkloadAudit& a = p.audit;
+  out.s("spec", a.spec);
+  out.u("secret_width", a.secret_width);
+  out.u("samples", a.masks.size());
+  out.u("results_ok", p.results_ok());
+  out.u("has_cte", a.mode("cte") != nullptr);
+  // Absent modes (e.g. cte for djpeg) serialize as closed/zero so every
+  // point carries the same keys (byte-stable schema).
+  for (const char* mode : {"legacy", "sempe", "cte"}) {
+    const security::ModeAudit* m = a.mode(mode);
+    const std::string k = mode;
+    out.u(k + "_distinguishable", m != nullptr && !m->indistinguishable());
+    out.f(k + "_leaked_bits", m != nullptr ? m->leaked_bits() : 0.0);
+    out.s(k + "_channels", m != nullptr ? m->open_channels() : "");
+    out.s(k + "_stat_verdict",
+          security::stat_verdict_name(m != nullptr
+                                          ? m->stat_verdict()
+                                          : security::StatVerdict::kNotRun));
+    out.f(k + "_stat_t", m != nullptr ? m->stat_max_t() : 0.0);
+    out.f(k + "_stat_mi_bits", m != nullptr ? m->stat_max_mi_bits() : 0.0);
+    out.s(k + "_stat_channels", m != nullptr ? m->stat_leak_channels() : "");
+    out.u(k + "_stat_samples", m != nullptr ? m->stat_samples() : 0);
   }
-  json_footer(out);
-  return out;
-}
-
-std::string leakage_json_impl(const std::string& experiment,
-                              const std::vector<LeakageJob>& jobs,
-                              const std::vector<LeakagePoint>& points,
-                              const SweepView& view) {
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const LeakagePoint& p = points[i];
-    const security::WorkloadAudit& a = p.audit;
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", a.spec);
-    append_kv_u64(out, "secret_width", a.secret_width);
-    append_kv_u64(out, "samples", a.masks.size());
-    append_kv_u64(out, "results_ok", p.results_ok() ? 1 : 0);
-    append_kv_u64(out, "has_cte", a.mode("cte") != nullptr ? 1 : 0);
-    // Absent modes (e.g. cte for djpeg) serialize as closed/zero so every
-    // point carries the same keys (byte-stable schema).
+  out.u("stat_pairs", a.stat_pairs);
+  // Attack-audit points (workloads/attack.h) additionally carry the
+  // end-to-end key-recovery metric per mode. Non-attack points keep the
+  // pre-v3 key set, so their pinned golden bytes only move with the
+  // schema line.
+  bool attack_point = false;
+  for (const security::ModeAudit& m : a.modes)
+    attack_point = attack_point || m.attack;
+  if (attack_point) {
     for (const char* mode : {"legacy", "sempe", "cte"}) {
       const security::ModeAudit* m = a.mode(mode);
-      std::string k = mode;
-      append_kv_u64(out, (k + "_distinguishable").c_str(),
-                    (m != nullptr && !m->indistinguishable()) ? 1 : 0);
-      append_kv_f(out, (k + "_leaked_bits").c_str(),
-                  m != nullptr ? m->leaked_bits() : 0.0);
-      append_kv_s(out, (k + "_channels").c_str(),
-                  m != nullptr ? m->open_channels() : "");
-      append_kv_s(out, (k + "_stat_verdict").c_str(),
-                  security::stat_verdict_name(
-                      m != nullptr ? m->stat_verdict()
-                                   : security::StatVerdict::kNotRun));
-      append_kv_f(out, (k + "_stat_t").c_str(),
-                  m != nullptr ? m->stat_max_t() : 0.0);
-      append_kv_f(out, (k + "_stat_mi_bits").c_str(),
-                  m != nullptr ? m->stat_max_mi_bits() : 0.0);
-      append_kv_s(out, (k + "_stat_channels").c_str(),
-                  m != nullptr ? m->stat_leak_channels() : "");
-      append_kv_u64(out, (k + "_stat_samples").c_str(),
-                    m != nullptr ? m->stat_samples() : 0);
+      const std::string k = mode;
+      out.u(k + "_key_bits_total", m != nullptr ? m->key_bits_total : 0);
+      out.u(k + "_key_bits_recovered",
+            m != nullptr ? m->key_bits_recovered : 0);
+      out.f(k + "_recovery_rate", m != nullptr ? m->recovery_rate() : 0.0);
     }
-    append_kv_u64(out, "stat_pairs", a.stat_pairs);
-    // Attack-audit points (workloads/attack.h) additionally carry the
-    // end-to-end key-recovery metric per mode. Non-attack points keep the
-    // pre-v3 key set, so their pinned golden bytes only move with the
-    // schema line.
-    bool attack_point = false;
-    for (const security::ModeAudit& m : a.modes)
-      attack_point = attack_point || m.attack;
-    if (attack_point) {
-      for (const char* mode : {"legacy", "sempe", "cte"}) {
-        const security::ModeAudit* m = a.mode(mode);
-        std::string k = mode;
-        append_kv_u64(out, (k + "_key_bits_total").c_str(),
-                      m != nullptr ? m->key_bits_total : 0);
-        append_kv_u64(out, (k + "_key_bits_recovered").c_str(),
-                      m != nullptr ? m->key_bits_recovered : 0);
-        append_kv_f(out, (k + "_recovery_rate").c_str(),
-                    m != nullptr ? m->recovery_rate() : 0.0);
-      }
-    }
-    append_kv_s(out, "legacy_divergence",
-                a.mode("legacy") != nullptr
-                    ? a.mode("legacy")->first_divergence()
-                    : "");
-    append_kv_s(out, "sempe_divergence",
-                a.mode("sempe") != nullptr
-                    ? a.mode("sempe")->first_divergence()
-                    : "",
-                /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
   }
-  json_footer(out);
-  return out;
+  for (const char* mode : {"legacy", "sempe"}) {
+    const security::ModeAudit* m = a.mode(mode);
+    out.s(std::string(mode) + "_divergence",
+          m != nullptr ? m->first_divergence() : "");
+  }
 }
 
-std::string tenant_json_impl(const std::string& experiment,
-                             const std::vector<TenantJob>& jobs,
-                             const std::vector<TenantPoint>& points,
-                             const SweepView& view) {
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const TenantPoint& p = points[i];
-    const security::WorkloadAudit& a = p.audit;
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", a.spec);
-    append_kv_u64(out, "tenants", jobs[view.global(i)].tenants);
-    append_kv_u64(out, "secret_width", a.secret_width);
-    append_kv_u64(out, "samples", a.masks.size());
-    append_kv_u64(out, "results_ok", p.results_ok() ? 1 : 0);
-    for (const char* mode : {"legacy", "sempe", "cte"}) {
-      const security::ModeAudit* m = a.mode(mode);
-      std::string k = mode;
-      append_kv_u64(out, (k + "_distinguishable").c_str(),
-                    (m != nullptr && !m->indistinguishable()) ? 1 : 0);
-      append_kv_s(out, (k + "_channels").c_str(),
-                  m != nullptr ? m->open_channels() : "");
-      append_kv_s(out, (k + "_stat_verdict").c_str(),
-                  security::stat_verdict_name(
-                      m != nullptr ? m->stat_verdict()
-                                   : security::StatVerdict::kNotRun));
-      append_kv_u64(out, (k + "_key_bits_total").c_str(),
-                    m != nullptr ? m->key_bits_total : 0);
-      append_kv_u64(out, (k + "_key_bits_recovered").c_str(),
-                    m != nullptr ? m->key_bits_recovered : 0);
-      append_kv_f(out, (k + "_recovery_rate").c_str(),
-                  m != nullptr ? m->recovery_rate() : 0.0);
-    }
-    // The greppable acceptance-gate flags: the legacy baseline recovers
-    // >= 90% of the key while the protected modes give the attacker no
-    // evidence (exact tier clean, or stat tier no-evidence).
-    append_kv_u64(out, "legacy_recovery_above_chance",
-                  p.legacy_recovers() ? 1 : 0);
-    append_kv_u64(out, "sempe_at_chance", p.at_chance("sempe") ? 1 : 0);
-    append_kv_u64(out, "cte_at_chance", p.at_chance("cte") ? 1 : 0,
-                  /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
+void TenantFamily::json(JsonFields& out, const Job& j, const Point& p) {
+  const security::WorkloadAudit& a = p.audit;
+  out.s("spec", a.spec);
+  out.u("tenants", j.tenants);
+  out.u("secret_width", a.secret_width);
+  out.u("samples", a.masks.size());
+  out.u("results_ok", p.results_ok());
+  for (const char* mode : {"legacy", "sempe", "cte"}) {
+    const security::ModeAudit* m = a.mode(mode);
+    const std::string k = mode;
+    out.u(k + "_distinguishable", m != nullptr && !m->indistinguishable());
+    out.s(k + "_channels", m != nullptr ? m->open_channels() : "");
+    out.s(k + "_stat_verdict",
+          security::stat_verdict_name(m != nullptr
+                                          ? m->stat_verdict()
+                                          : security::StatVerdict::kNotRun));
+    out.u(k + "_key_bits_total", m != nullptr ? m->key_bits_total : 0);
+    out.u(k + "_key_bits_recovered", m != nullptr ? m->key_bits_recovered : 0);
+    out.f(k + "_recovery_rate", m != nullptr ? m->recovery_rate() : 0.0);
   }
-  json_footer(out);
-  return out;
+  // The greppable acceptance-gate flags: the legacy baseline recovers
+  // >= 90% of the key while the protected modes give the attacker no
+  // evidence (exact tier clean, or stat tier no-evidence).
+  out.u("legacy_recovery_above_chance", p.legacy_recovers());
+  out.u("sempe_at_chance", p.at_chance("sempe"));
+  out.u("cte_at_chance", p.at_chance("cte"));
 }
 
-std::string lint_json_impl(const std::string& experiment,
-                           const std::vector<LintJob>& jobs,
-                           const std::vector<LintPoint>& points,
-                           const SweepView& view) {
+void LintFamily::json(JsonFields& out, const Job&, const Point& p) {
   // Findings serialize compactly as "0x<pc>:<kind>" CSV — the PCs are the
   // pinned part; details stay in the human report.
   const auto findings_csv = [](const security::LintResult& r) {
@@ -760,183 +514,48 @@ std::string lint_json_impl(const std::string& experiment,
     }
     return csv;
   };
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const LintPoint& p = points[i];
-    begin_point(out, view, i);
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", p.lint.spec);
-    append_kv_u64(out, "secret_width", p.lint.secret_width);
-    append_kv_u64(out, "has_cte", p.lint.has_cte ? 1 : 0);
-    append_kv_u64(out, "ok", p.ok() ? 1 : 0);
-    append_kv_s(out, "failures", p.failure_summary());
-    append_kv_s(out, "warnings", p.warning_summary());
-    append_kv_u64(out, "legacy_findings", p.lint.natural_legacy.findings.size());
-    append_kv_u64(out, "sempe_findings", p.lint.natural_sempe.findings.size());
-    append_kv_u64(out, "cte_findings", p.lint.cte.findings.size());
-    append_kv_u64(out, "sempe_excused_sjmps", p.lint.natural_sempe.excused_sjmps);
-    append_kv_u64(out, "legacy_passes", p.lint.natural_legacy.passes);
-    append_kv_s(out, "legacy_finding_pcs", findings_csv(p.lint.natural_legacy));
-    append_kv_s(out, "sempe_finding_pcs", findings_csv(p.lint.natural_sempe));
-    append_kv_s(out, "cte_finding_pcs", findings_csv(p.lint.cte));
-    // The dynamic half of the cross-check, for auditability of the verdict.
-    for (const char* mode : {"legacy", "sempe", "cte"}) {
-      const security::ModeAudit* m = p.audit.mode(mode);
-      const std::string k = std::string(mode) + "_distinguishable";
-      append_kv_u64(out, k.c_str(),
-                    (m != nullptr && !m->indistinguishable()) ? 1 : 0);
-    }
-    append_kv_u64(out, "audit_samples", p.audit.masks.size(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
+  const security::WorkloadLint& l = p.lint;
+  out.s("spec", l.spec);
+  out.u("secret_width", l.secret_width);
+  out.u("has_cte", l.has_cte);
+  out.u("ok", p.ok());
+  out.s("failures", p.failure_summary());
+  out.s("warnings", p.warning_summary());
+  out.u("legacy_findings", l.natural_legacy.findings.size());
+  out.u("sempe_findings", l.natural_sempe.findings.size());
+  out.u("cte_findings", l.cte.findings.size());
+  out.u("sempe_excused_sjmps", l.natural_sempe.excused_sjmps);
+  out.u("legacy_passes", l.natural_legacy.passes);
+  out.s("legacy_finding_pcs", findings_csv(l.natural_legacy));
+  out.s("sempe_finding_pcs", findings_csv(l.natural_sempe));
+  out.s("cte_finding_pcs", findings_csv(l.cte));
+  // The dynamic half of the cross-check, for auditability of the verdict.
+  for (const char* mode : {"legacy", "sempe", "cte"}) {
+    const security::ModeAudit* m = p.audit.mode(mode);
+    out.u(std::string(mode) + "_distinguishable",
+          m != nullptr && !m->indistinguishable());
   }
-  json_footer(out);
-  return out;
+  out.u("audit_samples", p.audit.masks.size());
 }
 
-std::string perf_json_impl(const std::string& experiment,
-                           const std::vector<PerfJob>& jobs,
-                           const std::vector<PerfPoint>& points,
-                           const SweepView& view) {
-  std::string out = json_header(experiment, distinct_generators(jobs),
-                                "legacy,sempe,cte", view);
-  for (usize i = 0; i < points.size(); ++i) {
-    const PerfPoint& pp = points[i];
-    const WorkloadPoint& p = pp.point;
-    begin_point(out, view, i);
-    // Deterministic fields first (byte-identical across --threads/hosts)...
-    append_kv_s(out, "label", jobs[view.global(i)].label);
-    append_kv_s(out, "spec", p.spec);
-    append_kv_u64(out, "results_ok", p.results_ok ? 1 : 0);
-    append_kv_u64(out, "baseline_cycles", p.baseline_cycles);
-    append_kv_u64(out, "sempe_cycles", p.sempe_cycles);
-    append_kv_u64(out, "cte_cycles", p.cte_cycles);
-    append_kv_u64(out, "baseline_instructions", p.baseline_instructions);
-    append_kv_u64(out, "sempe_instructions", p.sempe_instructions);
-    append_kv_u64(out, "cte_instructions", p.cte_instructions);
-    append_kv_u64(out, "total_instructions", pp.simulated_instructions());
-    // ...then the wall-clock measurement (the only nondeterministic lines;
-    // strip_perf_timing removes exactly these).
-    append_kv_f(out, "wall_ms", pp.wall_seconds * 1e3);
-    append_kv_f(out, "simulated_mips", pp.simulated_mips());
-    append_kv_f(out, "ns_per_instr", pp.ns_per_instruction(), /*last=*/true);
-    out += i + 1 == points.size() ? "    }\n" : "    },\n";
-  }
-  json_footer(out);
-  return out;
+void PerfFamily::json(JsonFields& out, const Job&, const Point& pp) {
+  const WorkloadPoint& p = pp.point;
+  // Deterministic fields first (byte-identical across --threads/hosts)...
+  out.s("spec", p.spec);
+  out.u("results_ok", p.results_ok);
+  out.u("baseline_cycles", p.baseline_cycles);
+  out.u("sempe_cycles", p.sempe_cycles);
+  out.u("cte_cycles", p.cte_cycles);
+  out.u("baseline_instructions", p.baseline_instructions);
+  out.u("sempe_instructions", p.sempe_instructions);
+  out.u("cte_instructions", p.cte_instructions);
+  out.u("total_instructions", pp.simulated_instructions());
+  // ...then the wall-clock measurement (the only nondeterministic lines;
+  // strip_perf_timing removes exactly these).
+  out.f("wall_ms", pp.wall_seconds * 1e3);
+  out.f("simulated_mips", pp.simulated_mips());
+  out.f("ns_per_instr", pp.ns_per_instruction());
 }
-
-// The SweepRun overloads feed the impl the index map; the plain-vector
-// overloads are the identity view (the pre-orchestration byte format).
-template <typename Point>
-SweepView sweep_view(const std::vector<Point>& points,
-                     const SweepRun<Point>& run, usize jobs) {
-  SEMPE_CHECK(run.points.size() == run.indices.size());
-  SEMPE_CHECK(run.total_jobs == jobs);
-  (void)points;
-  return SweepView{&run.indices, run.shard};
-}
-
-}  // namespace
-
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const std::vector<MicrobenchPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return microbench_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const SweepRun<MicrobenchPoint>& run) {
-  return microbench_json_impl(experiment, jobs, run.points,
-                              sweep_view(run.points, run, jobs.size()));
-}
-
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const std::vector<DjpegPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return djpeg_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const SweepRun<DjpegPoint>& run) {
-  return djpeg_json_impl(experiment, jobs, run.points,
-                         sweep_view(run.points, run, jobs.size()));
-}
-
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const std::vector<WorkloadPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return workload_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const SweepRun<WorkloadPoint>& run) {
-  return workload_json_impl(experiment, jobs, run.points,
-                            sweep_view(run.points, run, jobs.size()));
-}
-
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const std::vector<LeakagePoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return leakage_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const SweepRun<LeakagePoint>& run) {
-  return leakage_json_impl(experiment, jobs, run.points,
-                           sweep_view(run.points, run, jobs.size()));
-}
-
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const std::vector<LintPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return lint_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const SweepRun<LintPoint>& run) {
-  return lint_json_impl(experiment, jobs, run.points,
-                        sweep_view(run.points, run, jobs.size()));
-}
-
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const std::vector<PerfPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return perf_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const SweepRun<PerfPoint>& run) {
-  return perf_json_impl(experiment, jobs, run.points,
-                        sweep_view(run.points, run, jobs.size()));
-}
-
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const std::vector<TenantPoint>& points) {
-  SEMPE_CHECK(jobs.size() == points.size());
-  return tenant_json_impl(experiment, jobs, points, SweepView{});
-}
-
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const SweepRun<TenantPoint>& run) {
-  return tenant_json_impl(experiment, jobs, run.points,
-                          sweep_view(run.points, run, jobs.size()));
-}
-
 std::string strip_perf_timing(const std::string& json) {
   static const char* const kTimingKeys[] = {"\"wall_ms\"", "\"simulated_mips\"",
                                             "\"ns_per_instr\""};
@@ -968,7 +587,7 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
         cli.ok = false;
         cli.error = a;
       } else {
-        cli.threads = static_cast<usize>(n);
+        cli.sweep.threads = static_cast<usize>(n);
       }
     } else if (!std::strcmp(a, "--json")) {
       cli.want_json = true;
@@ -1003,18 +622,17 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
         cli.ok = false;
         cli.error = a;
       } else {
-        cli.shard_index = static_cast<usize>(idx);
-        cli.shard_count = static_cast<usize>(count);
+        cli.sweep.shard = {static_cast<usize>(idx), static_cast<usize>(count)};
       }
     } else if (!std::strncmp(a, "--cache-dir=", 12)) {
-      cli.cache_dir = a + 12;
-      if (cli.cache_dir.empty()) {
+      cli.sweep.cache_dir = a + 12;
+      if (cli.sweep.cache_dir.empty()) {
         cli.ok = false;
         cli.error = a;
       }
     } else if (!std::strncmp(a, "--journal=", 10)) {
-      cli.journal_path = a + 10;
-      if (cli.journal_path.empty()) {
+      cli.sweep.journal_path = a + 10;
+      if (cli.sweep.journal_path.empty()) {
         cli.ok = false;
         cli.error = a;
       }
@@ -1055,16 +673,6 @@ bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
   print_batch_usage(argv[0], what);
   *exit_code = (!cli.ok || argc > 1) ? 1 : 0;
   return true;
-}
-
-SweepOptions sweep_options(const BatchCli& cli) {
-  SweepOptions opt;
-  opt.threads = cli.threads;
-  opt.shard.index = cli.shard_index;
-  opt.shard.count = cli.shard_count;
-  opt.cache_dir = cli.cache_dir;
-  opt.journal_path = cli.journal_path;
-  return opt;
 }
 
 std::FILE* report_stream(const BatchCli& cli) {

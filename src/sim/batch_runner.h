@@ -8,8 +8,14 @@
 // index, which makes the output ordering — and any JSON serialization of
 // it — byte-identical regardless of thread count.
 //
-// The bench_* binaries all dispatch their sweeps through this driver and
-// share the same CLI surface:
+// Every sweep is a list of jobs of one family, and every family is one row
+// of the sweep-family table below (MicrobenchFamily ... TenantFamily): the
+// row names its Job and Point types, how a job is measured, its JSON
+// projection and its job key, and one generic run_sweep / sweep_json /
+// job_identity / codec path serves every row. Each bench_* main is a call
+// to bench_main<Family> with its job list and its report callback, so the
+// binaries share the parse -> observe -> sweep -> report -> emit skeleton
+// and the same CLI surface:
 //
 //   --threads=N      worker threads (default: all hardware threads)
 //   --json[=F]       emit machine-readable results to file F (or stdout)
@@ -21,6 +27,9 @@
 //   --cache-dir=D    content-addressed result cache (sim/sweep_cache.h)
 //   --journal=F      append-only result journal; rerun to resume a
 //                    killed sweep
+//
+// The timed perf family has no job key: it rejects --cache-dir and
+// --journal, so a wall clock is never replayed.
 //
 // The observability flags feed the src/obs/ session the mains install via
 // make_obs_session(); none of them perturb the deterministic --json
@@ -36,6 +45,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -50,6 +60,7 @@
 #include "obs/report.h"
 #include "sim/experiment.h"
 #include "sim/sweep_cache.h"
+#include "util/check.h"
 #include "util/clock.h"
 
 namespace sempe::sim {
@@ -158,74 +169,7 @@ auto run_indexed_labeled(usize n, usize threads, Fn&& fn, LabelFn&& label_of)
 }
 
 // ---------------------------------------------------------------------------
-// Experiment job specs.
-
-struct MicrobenchJob {
-  std::string label;  // e.g. "fibonacci/W=10" or "ablation/spm/64B"
-  workloads::Kind kind{};
-  usize width = 0;
-  MicrobenchOptions opt{};
-};
-
-struct DjpegJob {
-  std::string label;  // e.g. "ppm/256k"
-  workloads::OutputFormat format{};
-  usize pixels = 0;
-  usize scale = 8;
-  u64 image_seed = 1;
-};
-
-/// A registry-resolved workload spec (see workloads/registry.h); the
-/// generator-agnostic job form every future scenario sweep uses.
-struct WorkloadJob {
-  std::string label;  // e.g. "synthetic.ptr_chase/W=4"
-  std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
-  MicrobenchOptions opt{};  // machine knobs only (see measure_workload)
-};
-
-/// One workload spec audited over the secret space (see measure_leakage).
-struct LeakageJob {
-  std::string label;  // e.g. "synthetic.cond_branch"
-  std::string spec;   // e.g. "synthetic.cond_branch?width=3&iters=2"
-  security::AuditOptions opt{};
-};
-
-/// One workload spec statically linted and cross-checked against the
-/// dynamic leakage audit (see measure_lint).
-struct LintJob {
-  std::string label;  // e.g. "synthetic.cond_branch"
-  std::string spec;   // e.g. "synthetic.cond_branch?width=3&iters=2"
-  security::AuditOptions opt{};  // for the dynamic cross-check half
-};
-
-/// One workload spec timed for host throughput (see measure_perf). The
-/// job form is identical to WorkloadJob; the result additionally carries
-/// wall-clock fields.
-struct PerfJob {
-  std::string label;
-  std::string spec;
-  MicrobenchOptions opt{};
-};
-
-/// One co-residence attack spec (workloads/attack.h) audited end-to-end
-/// over the secret space (see measure_tenant): the attacker tenant's probe
-/// observations judged by both verdict tiers, plus the per-mode key-bit
-/// recovery rate. `tenants` is the co-residence degree; the attack
-/// workloads schedule exactly 2 contexts (victim + attacker) today, but
-/// the count is part of the job identity so a future N-tenant grid can
-/// never collide with 2-tenant cache entries.
-struct TenantJob {
-  std::string label;  // e.g. "attack.prime_probe/crypto.modexp"
-  std::string spec;   // e.g. "attack.prime_probe?victim=crypto.modexp";
-                      // victim spec, probe knobs, and scheduler quantum
-                      // all travel inside the spec parameters
-  usize tenants = 2;
-  security::AuditOptions opt{};
-};
-
-// ---------------------------------------------------------------------------
-// Sweep orchestration: shard selection + cache/journal resolution + the
-// parallel execution of whatever is left.
+// Sweep orchestration options and results.
 
 /// Deterministic shard assignment: job i belongs to shard `index` of
 /// `count` iff i % count == index. Round-robin (not contiguous blocks) so
@@ -259,25 +203,10 @@ struct SweepRun {
   CacheStats cache;            // how each selected job was resolved
 };
 
-SweepRun<MicrobenchPoint> run_microbench_sweep(
-    const std::vector<MicrobenchJob>& jobs, const SweepOptions& opt);
-SweepRun<DjpegPoint> run_djpeg_sweep(const std::vector<DjpegJob>& jobs,
-                                     const SweepOptions& opt);
-SweepRun<WorkloadPoint> run_workload_sweep(
-    const std::vector<WorkloadJob>& jobs, const SweepOptions& opt);
-SweepRun<LeakagePoint> run_leakage_sweep(const std::vector<LeakageJob>& jobs,
-                                         const SweepOptions& opt);
-SweepRun<LintPoint> run_lint_sweep(const std::vector<LintJob>& jobs,
-                                   const SweepOptions& opt);
-SweepRun<PerfPoint> run_perf_sweep(const std::vector<PerfJob>& jobs,
-                                   const SweepOptions& opt);
-SweepRun<TenantPoint> run_tenant_sweep(const std::vector<TenantJob>& jobs,
-                                       const SweepOptions& opt);
-
 /// Map a sweep's points back onto the full job grid: result[g] is the
 /// point of job g, or nullptr when job g was not part of this run
 /// (owned by another shard). For index-structured human reports
-/// (bench_ablation, bench_fig10b) that address points by grid position.
+/// (bench_ablation) that address points by grid position.
 template <typename Point>
 std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
   std::vector<const Point*> by_job(run.total_jobs, nullptr);
@@ -286,24 +215,182 @@ std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
   return by_job;
 }
 
-/// Run every job through measure_microbench / measure_djpeg /
-/// measure_workload / measure_leakage on `threads` workers; results come
-/// back in job order. Legacy entry points: equivalent to run_*_sweep with
-/// only `threads` set.
-std::vector<MicrobenchPoint> run_microbench_jobs(
-    const std::vector<MicrobenchJob>& jobs, usize threads);
-std::vector<DjpegPoint> run_djpeg_jobs(const std::vector<DjpegJob>& jobs,
-                                       usize threads);
-std::vector<WorkloadPoint> run_workload_jobs(
-    const std::vector<WorkloadJob>& jobs, usize threads);
-std::vector<LeakagePoint> run_leakage_jobs(
-    const std::vector<LeakageJob>& jobs, usize threads);
-std::vector<LintPoint> run_lint_jobs(const std::vector<LintJob>& jobs,
-                                     usize threads);
-std::vector<PerfPoint> run_perf_jobs(const std::vector<PerfJob>& jobs,
-                                     usize threads);
-std::vector<TenantPoint> run_tenant_jobs(const std::vector<TenantJob>& jobs,
-                                         usize threads);
+// ---------------------------------------------------------------------------
+// The sweep-family table: one row per kind of sweep point.
+//
+// A row is a descriptor struct naming its Job and Point types, its family
+// name (the codec blob header and the job key's family field), the mode
+// list its points cover (the JSON meta header and the job key), how one
+// job is measured, its JSON projection, and — for the cacheable families
+// — its job-key text. Everything else is one generic function over the
+// row: run_sweep, sweep_json, spec_grid and bench_main here, job_identity
+// in sim/job_key.h, encode_point/decode_point in sim/sweep_codec.h. A new
+// family is one row plus an entry in SEMPE_SWEEP_FAMILIES.
+
+struct MicrobenchJob {
+  std::string label;  // e.g. "fibonacci/W=10" or "ablation/spm/64B"
+  workloads::Kind kind{};
+  usize width = 0;
+  MicrobenchOptions opt{};
+};
+
+struct DjpegJob {
+  std::string label;  // e.g. "ppm/256k"
+  workloads::OutputFormat format{};
+  usize pixels = 0;
+  usize scale = 8;
+  u64 image_seed = 1;
+};
+
+/// A registry-resolved workload spec (see workloads/registry.h) plus the
+/// options its measurement reads: MicrobenchOptions machine knobs for the
+/// timing families, security::AuditOptions for the audit families.
+template <typename Opt>
+struct SpecJob {
+  std::string label;  // e.g. "synthetic.ptr_chase/W=4"
+  std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
+  Opt opt{};
+};
+using WorkloadJob = SpecJob<MicrobenchOptions>;
+using LeakageJob = SpecJob<security::AuditOptions>;
+
+/// One co-residence attack spec (workloads/attack.h) audited end-to-end
+/// over the secret space (see measure_tenant). The victim spec, probe
+/// knobs, and scheduler quantum all travel inside the spec parameters.
+/// `tenants` is the co-residence degree; the attack workloads schedule
+/// exactly 2 contexts today, but the count is part of the job identity so
+/// a future N-tenant grid can never collide with 2-tenant cache entries.
+struct TenantJob {
+  std::string label;  // e.g. "attack.prime_probe/crypto.modexp"
+  std::string spec;   // e.g. "attack.prime_probe?victim=crypto.modexp"
+  usize tenants = 2;
+  security::AuditOptions opt{};
+};
+
+/// A cacheable family's job-key text (see sim/job_key.h).
+struct KeyText {
+  std::string spec;     // canonical spec text
+  std::string machine;  // result-affecting options, "k=v k=v" text
+};
+
+/// One point's `"key": value` lines in a --json document (sweep_json).
+class JsonFields;
+
+struct MicrobenchFamily {
+  using Job = MicrobenchJob;
+  using Point = MicrobenchPoint;
+  static constexpr const char* kName = "microbench";
+  static constexpr const char* kModes = "legacy,sempe,cte,ideal";
+  static Point measure(const Job& j) {
+    return measure_microbench(j.kind, j.width, j.opt);
+  }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+struct DjpegFamily {
+  using Job = DjpegJob;
+  using Point = DjpegPoint;
+  static constexpr const char* kName = "djpeg";
+  static constexpr const char* kModes = "legacy,sempe";
+  static Point measure(const Job& j) {
+    return measure_djpeg(j.format, j.pixels, j.scale, j.image_seed);
+  }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+struct WorkloadFamily {
+  using Job = WorkloadJob;
+  using Point = WorkloadPoint;
+  static constexpr const char* kName = "workload";
+  static constexpr const char* kModes = "legacy,sempe,cte";
+  static Point measure(const Job& j) { return measure_workload(j.spec, j.opt); }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+struct LeakageFamily {
+  using Job = LeakageJob;
+  using Point = LeakagePoint;
+  static constexpr const char* kName = "leakage";
+  static constexpr const char* kModes = "legacy,sempe,cte";
+  static Point measure(const Job& j) { return measure_leakage(j.spec, j.opt); }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+struct LintFamily {
+  using Job = LeakageJob;  // the audit options drive the dynamic half
+  using Point = LintPoint;
+  static constexpr const char* kName = "lint";
+  static constexpr const char* kModes = "legacy,sempe,cte";
+  static Point measure(const Job& j) { return measure_lint(j.spec, j.opt); }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+/// The timed family of bench_perf. It has no key, so its points are never
+/// cached or journaled: a replayed wall clock would be a wrong
+/// measurement. run_sweep rejects --cache-dir and --journal for it.
+struct PerfFamily {
+  using Job = WorkloadJob;
+  using Point = PerfPoint;
+  static constexpr const char* kName = "perf";
+  static constexpr const char* kModes = "legacy,sempe,cte";
+  static Point measure(const Job& j) { return measure_perf(j.spec, j.opt); }
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+struct TenantFamily {
+  using Job = TenantJob;
+  using Point = TenantPoint;
+  static constexpr const char* kName = "tenant";
+  static constexpr const char* kModes = "legacy,sempe,cte";
+  static Point measure(const Job& j) { return measure_tenant(j.spec, j.opt); }
+  static KeyText key(const Job& j);
+  static void json(JsonFields& out, const Job& j, const Point& p);
+};
+
+/// The table: X(row) once per family.
+#define SEMPE_SWEEP_FAMILIES(X)                                        \
+  X(MicrobenchFamily) X(DjpegFamily) X(WorkloadFamily) X(LeakageFamily) \
+  X(LintFamily) X(PerfFamily) X(TenantFamily)
+
+/// A family whose points may be replayed: it has a job key (and a codec
+/// field list in sim/sweep_codec.h).
+template <typename F>
+concept CachedFamily = requires(const typename F::Job& j) {
+  { F::key(j) } -> std::same_as<KeyText>;
+};
+
+/// Run a sweep: shard selection, then (for a cached family) journal and
+/// cache resolution of each selected job, then parallel execution of
+/// whatever is left, with write-back as each job retires. Throws SimError
+/// when asked to persist a family that is not cached.
+template <typename F>
+SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
+                                      const SweepOptions& opt);
+
+/// One job per spec; labels default to the spec text.
+template <typename F>
+std::vector<typename F::Job> spec_grid(const std::vector<std::string>& specs,
+                                       const decltype(F::Job::opt)& opt) {
+  std::vector<typename F::Job> jobs(specs.size());
+  for (usize i = 0; i < specs.size(); ++i) {
+    jobs[i].label = jobs[i].spec = specs[i];
+    jobs[i].opt = opt;
+  }
+  return jobs;
+}
+
+// The per-family names perfbench/perfbench.cpp calls.
+inline constexpr auto& run_workload_sweep = run_sweep<WorkloadFamily>;
+inline constexpr auto& run_leakage_sweep = run_sweep<LeakageFamily>;
+inline constexpr auto& run_tenant_sweep = run_sweep<TenantFamily>;
+inline constexpr auto& workload_grid = spec_grid<WorkloadFamily>;
+inline constexpr auto& leakage_grid = spec_grid<LeakageFamily>;
+inline constexpr auto& tenant_grid = spec_grid<TenantFamily>;
 
 /// Cartesian sweep (kind-major, so a figure's series stay contiguous).
 std::vector<MicrobenchJob> microbench_grid(
@@ -313,22 +400,16 @@ std::vector<DjpegJob> djpeg_grid(
     const std::vector<workloads::OutputFormat>& formats,
     const std::vector<usize>& pixel_sizes, usize scale);
 
-/// One job per spec; labels default to the spec text.
-std::vector<WorkloadJob> workload_grid(const std::vector<std::string>& specs,
-                                       const MicrobenchOptions& opt);
-std::vector<LeakageJob> leakage_grid(const std::vector<std::string>& specs,
-                                     const security::AuditOptions& opt);
-std::vector<LintJob> lint_grid(const std::vector<std::string>& specs,
-                               const security::AuditOptions& opt);
-std::vector<PerfJob> perf_grid(const std::vector<std::string>& specs,
-                               const MicrobenchOptions& opt);
-std::vector<TenantJob> tenant_grid(const std::vector<std::string>& specs,
-                                   const security::AuditOptions& opt);
-
 /// The representative registry specs bench_perf times: every synthetic
 /// kernel plus every crypto.*/ds.* scenario at the widest sweep setting
 /// (width 4, all secrets true — every mode executes every level).
 std::vector<std::string> perf_sweep_specs(usize iters);
+
+/// The specs bench_leakage and bench_lint audit: every registered
+/// workload except the attack.* ones (bench_tenants owns those) at width
+/// 3, so the default 8 samples enumerate the whole 2^3 secret space, and
+/// djpeg — no settable secret vector — as one small smoke image.
+std::vector<std::string> registry_audit_specs(usize iters);
 
 /// The four Fig. 7 microbenchmark kinds.
 const std::vector<workloads::Kind>& all_kinds();
@@ -342,99 +423,46 @@ const std::vector<usize>& djpeg_sizes();
 // outputs — no wall-clock times, and the header's `threads` field is the
 // constant 0 ("thread-count invariant"; the actual worker count goes to
 // stderr) — so a sweep serializes to byte-identical text for any --threads
-// value.
+// value. The one exception is the perf family, whose wall_ms,
+// simulated_mips and ns_per_instr lines are the measurement;
+// strip_perf_timing() removes exactly those lines.
 
 inline constexpr int kResultSchemaVersion = 3;
 
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const std::vector<MicrobenchPoint>& points);
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const std::vector<DjpegPoint>& points);
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const std::vector<WorkloadPoint>& points);
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const std::vector<LeakagePoint>& points);
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const std::vector<LintPoint>& points);
-
-/// Tenant co-residence results: per-point recovery rates per mode, plus
-/// the greppable gate flags (`legacy_recovery_above_chance`,
-/// `sempe_at_chance`, `cte_at_chance`) CI pins the acceptance criterion
-/// on.
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const std::vector<TenantPoint>& points);
-
-/// Perf results. Unlike every other document this one intentionally
-/// carries wall-clock fields (wall_ms, simulated_mips, ns_per_instr) —
-/// they are the measurement. All OTHER fields stay deterministic and
-/// thread-count invariant; strip_perf_timing() removes the timing lines so
-/// tests and CI can byte-compare the deterministic remainder.
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const std::vector<PerfPoint>& points);
+/// The --json document of a sweep. `jobs` is the FULL job list (shard
+/// documents carry the same meta header as the unsharded run; labels
+/// resolve through run.indices). A sharded run (shard.count > 1) adds a
+/// "shard" meta line and a per-point "_index" so sempe_merge can
+/// reassemble the unsharded document byte-for-byte.
+template <typename F>
+std::string sweep_json(const std::string& experiment,
+                       const std::vector<typename F::Job>& jobs,
+                       const SweepRun<typename F::Point>& run);
 
 /// Drop the wall-clock lines ("wall_ms", "simulated_mips",
-/// "ns_per_instr") from a perf_json document, leaving the deterministic
-/// fields for byte comparison across --threads values or hosts.
+/// "ns_per_instr") from a perf document, leaving the deterministic fields
+/// for byte comparison across --threads values or hosts.
 std::string strip_perf_timing(const std::string& json);
-
-// SweepRun-aware emitters. `jobs` is always the FULL job list (shard
-// documents carry the same meta header as the unsharded run; labels
-// resolve through run.indices). An unsharded run serializes exactly like
-// the plain-vector overloads; a sharded one (shard.count > 1) adds a
-// "shard" meta line and a per-point "_index" so sempe_merge can
-// reassemble the unsharded document byte-for-byte.
-std::string microbench_json(const std::string& experiment,
-                            const std::vector<MicrobenchJob>& jobs,
-                            const SweepRun<MicrobenchPoint>& run);
-std::string djpeg_json(const std::string& experiment,
-                       const std::vector<DjpegJob>& jobs,
-                       const SweepRun<DjpegPoint>& run);
-std::string workload_json(const std::string& experiment,
-                          const std::vector<WorkloadJob>& jobs,
-                          const SweepRun<WorkloadPoint>& run);
-std::string leakage_json(const std::string& experiment,
-                         const std::vector<LeakageJob>& jobs,
-                         const SweepRun<LeakagePoint>& run);
-std::string lint_json(const std::string& experiment,
-                      const std::vector<LintJob>& jobs,
-                      const SweepRun<LintPoint>& run);
-std::string perf_json(const std::string& experiment,
-                      const std::vector<PerfJob>& jobs,
-                      const SweepRun<PerfPoint>& run);
-std::string tenant_json(const std::string& experiment,
-                        const std::vector<TenantJob>& jobs,
-                        const SweepRun<TenantPoint>& run);
 
 // ---------------------------------------------------------------------------
 // Shared bench CLI.
 
 struct BatchCli {
-  usize threads = 0;        // 0 = all hardware threads
+  SweepOptions sweep;       // --threads, --shard, --cache-dir, --journal
   bool want_json = false;
   std::string json_path;    // empty with want_json set = stdout
   std::string trace_path;   // --trace-out=F (empty: tracing off)
   std::string metrics_path; // --metrics-out=F (empty: metrics off)
   bool progress = false;    // --progress: stderr sweep progress meter
-  usize shard_index = 0;    // --shard=i/N
-  usize shard_count = 1;
-  std::string cache_dir;    // --cache-dir=D (empty: cache off)
-  std::string journal_path; // --journal=F (empty: journal off)
   std::string jobs_regex;   // --jobs=REGEX (empty: keep every job)
   bool help = false;
   bool ok = true;           // false: unrecognized argument
   std::string error;        // the offending argument
 };
 
-/// Strip the flags this driver owns (--threads=N, --json[=F], --help) out
-/// of argv, compacting argc. Anything left besides argv[0] is the caller's
-/// problem (the bench mains treat leftovers as a usage error).
+/// Strip the shared bench flags out of argv, compacting argc.
+/// Anything left besides argv[0] is the caller's problem (the bench mains
+/// treat leftovers as a usage error).
 BatchCli parse_batch_cli(int& argc, char** argv);
 
 /// Handle --help and argument errors for a bench main: prints the
@@ -442,10 +470,6 @@ BatchCli parse_batch_cli(int& argc, char** argv);
 /// return immediately.
 bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
                            const char* what, int* exit_code);
-
-/// The SweepOptions the CLI flags ask for (threads, shard, cache,
-/// journal; fingerprint left at the build default).
-SweepOptions sweep_options(const BatchCli& cli);
 
 /// Apply --jobs=REGEX: drop every job whose label does not match
 /// (std::regex_search, ECMAScript grammar). An empty surviving list is
@@ -490,5 +514,50 @@ bool write_obs_outputs(obs::Session& session, const std::string& experiment,
 
 /// Print the shared usage text for a bench binary.
 void print_batch_usage(const char* argv0, const char* what);
+
+/// What a bench main's report callback sees of its sweep.
+template <typename F>
+struct BenchSweep {
+  const std::vector<typename F::Job>& jobs;  // after --jobs filtering
+  const SweepRun<typename F::Point>& run;
+  double seconds;                            // sweep wall time
+};
+
+/// The whole of a bench main: parse the shared CLI, install observability,
+/// apply --jobs, run the sweep, print the human report (`report(out,
+/// sweep)` returns false to fail the exit status) and the stderr summary,
+/// then write the observability outputs and the --json document.
+template <typename F, typename Report>
+int bench_main(int argc, char** argv, const char* experiment,
+               const char* what, std::vector<typename F::Job> jobs,
+               Report report) {
+  const BatchCli cli = parse_batch_cli(argc, argv);
+  int exit_code = 0;
+  if (batch_cli_should_exit(cli, argc, argv, what, &exit_code))
+    return exit_code;
+  auto obs_session = make_obs_session(cli);
+  apply_job_filter(jobs, cli);
+
+  const Stopwatch sweep_sw;
+  SweepRun<typename F::Point> run;
+  try {
+    run = run_sweep<F>(jobs, cli.sweep);
+  } catch (const SimError& e) {
+    obs::set_session(nullptr);
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+  const BenchSweep<F> sweep{jobs, run, sweep_sw.elapsed_seconds()};
+  const bool ok = report(report_stream(cli), sweep);
+  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
+               run.points.size(), sweep.seconds,
+               resolve_threads(cli.sweep.threads, run.points.size()));
+
+  if (!finish_obs_session(cli, experiment, std::move(obs_session))) return 1;
+  if (cli.want_json &&
+      !emit_json(cli, sweep_json<F>(experiment, jobs, run)))
+    return 1;
+  return ok ? 0 : 1;
+}
 
 }  // namespace sempe::sim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "sim/sweep_codec.h"
 #include "util/check.h"
 #include "workloads/djpeg.h"
 #include "workloads/kernels.h"
@@ -63,7 +62,7 @@ void append_u64(std::string& out, const char* key, u64 v) {
   out += std::to_string(v);
 }
 
-/// The MicrobenchOptions fields measure_workload / measure_perf read —
+/// The MicrobenchOptions fields measure_workload reads —
 /// the machine knobs. iterations/size/input_seed are spec-controlled for
 /// registry workloads and must NOT perturb their keys.
 std::string machine_knobs_text(const MicrobenchOptions& opt) {
@@ -106,86 +105,41 @@ std::string audit_text(const security::AuditOptions& opt) {
 
 }  // namespace
 
-JobIdentity job_identity(const MicrobenchJob& job,
-                         const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kMicrobenchFamily;
-  id.spec = std::string("kind=") + workloads::kind_name(job.kind) +
-            "&width=" + std::to_string(job.width);
-  id.machine = machine_full_text(job.opt);
-  id.modes = "legacy,sempe,cte,ideal";
-  id.fingerprint = fingerprint;
-  return id;
+KeyText MicrobenchFamily::key(const Job& j) {
+  return {std::string("kind=") + workloads::kind_name(j.kind) +
+              "&width=" + std::to_string(j.width),
+          machine_full_text(j.opt)};
 }
 
-JobIdentity job_identity(const DjpegJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kDjpegFamily;
-  id.spec = std::string("format=") + workloads::format_name(job.format) +
-            "&pixels=" + std::to_string(job.pixels) +
-            "&scale=" + std::to_string(job.scale) +
-            "&image_seed=" + std::to_string(job.image_seed);
-  id.modes = "legacy,sempe";
-  id.fingerprint = fingerprint;
-  return id;
+KeyText DjpegFamily::key(const Job& j) {
+  return {std::string("format=") + workloads::format_name(j.format) +
+              "&pixels=" + std::to_string(j.pixels) +
+              "&scale=" + std::to_string(j.scale) +
+              "&image_seed=" + std::to_string(j.image_seed),
+          ""};
 }
 
-JobIdentity job_identity(const WorkloadJob& job,
-                         const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kWorkloadFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = machine_knobs_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
+KeyText WorkloadFamily::key(const Job& j) {
+  return {canonical_spec_key(j.spec), machine_knobs_text(j.opt)};
 }
 
-JobIdentity job_identity(const LeakageJob& job,
-                         const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kLeakageFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = audit_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
+KeyText LeakageFamily::key(const Job& j) {
+  return {canonical_spec_key(j.spec), audit_text(j.opt)};
 }
 
-JobIdentity job_identity(const LintJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kLintFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = audit_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
+KeyText LintFamily::key(const Job& j) {
+  return {canonical_spec_key(j.spec), audit_text(j.opt)};
 }
 
-JobIdentity job_identity(const PerfJob& job, const std::string& fingerprint) {
-  JobIdentity id;
-  id.family = kPerfFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = machine_knobs_text(job.opt);
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
-}
-
-JobIdentity job_identity(const TenantJob& job, const std::string& fingerprint) {
+KeyText TenantFamily::key(const Job& j) {
   // The attack spec carries the victim sub-spec, the probe-shape knobs,
   // and the scheduler quantum as ordinary parameters, so canonicalization
   // makes the key sensitive to all of them; the co-residence degree is a
   // machine coordinate of its own.
-  JobIdentity id;
-  id.family = kTenantFamily;
-  id.spec = canonical_spec_key(job.spec);
-  id.machine = "tenants=" + std::to_string(job.tenants);
-  const std::string audit = audit_text(job.opt);
-  if (!audit.empty()) id.machine += " " + audit;
-  id.modes = "legacy,sempe,cte";
-  id.fingerprint = fingerprint;
-  return id;
+  const std::string audit = audit_text(j.opt);
+  return {canonical_spec_key(j.spec),
+          "tenants=" + std::to_string(j.tenants) +
+              (audit.empty() ? "" : " " + audit)};
 }
 
 }  // namespace sempe::sim

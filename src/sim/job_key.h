@@ -1,6 +1,6 @@
 // Content-address job identity for the sweep orchestration subsystem.
 //
-// Every sweep job — any family of sim/batch_runner.h — reduces to a
+// Every job of a cacheable sweep family (sim/batch_runner.h) reduces to a
 // JobIdentity: the canonical workload spec, the result-affecting machine
 // configuration, the mode matrix the family executes, the result schema
 // version, and the build's code fingerprint (util/fingerprint.h). Its FNV
@@ -41,7 +41,7 @@ std::string canonical_spec_key(const std::string& spec_text);
 
 /// The content-address identity of one sweep job.
 struct JobIdentity {
-  std::string family;       // sweep_codec.h family constant
+  std::string family;       // the family row's kName
   std::string spec;         // canonical spec text
   std::string machine;      // result-affecting config, "k=v k=v" text
   std::string modes;        // mode matrix, e.g. "legacy,sempe,cte"
@@ -55,24 +55,16 @@ struct JobIdentity {
   std::string key() const;
 };
 
-// Per-family identities. `fingerprint` is normally
-// sempe::code_fingerprint(); tests substitute synthetic values to prove
-// stale-entry behavior.
-JobIdentity job_identity(const MicrobenchJob& job,
-                         const std::string& fingerprint);
-JobIdentity job_identity(const DjpegJob& job, const std::string& fingerprint);
-JobIdentity job_identity(const WorkloadJob& job,
-                         const std::string& fingerprint);
-JobIdentity job_identity(const LeakageJob& job,
-                         const std::string& fingerprint);
-JobIdentity job_identity(const LintJob& job, const std::string& fingerprint);
-JobIdentity job_identity(const PerfJob& job, const std::string& fingerprint);
-JobIdentity job_identity(const TenantJob& job, const std::string& fingerprint);
-
-/// job_identity(job, fingerprint).key() for any job family.
-template <typename Job>
-std::string job_cache_key(const Job& job, const std::string& fingerprint) {
-  return job_identity(job, fingerprint).key();
+/// The identity of one job of a cacheable family: the row's key text
+/// under its family name and mode list. `fingerprint` is normally
+/// sempe::code_fingerprint(); tests substitute synthetic values to prove
+/// stale-entry behavior.
+template <CachedFamily F>
+JobIdentity job_identity(const typename F::Job& job,
+                         const std::string& fingerprint) {
+  KeyText text = F::key(job);
+  return {F::kName,  std::move(text.spec), std::move(text.machine),
+          F::kModes, kResultSchemaVersion, fingerprint};
 }
 
 }  // namespace sempe::sim

@@ -179,10 +179,6 @@ const std::string* SweepJournal::find(const std::string& key) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool SweepJournal::contains(const std::string& key) const {
-  return entries_.count(key) != 0;
-}
-
 void SweepJournal::append(const std::string& key, const std::string& blob) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;  // an earlier I/O failure disabled appends

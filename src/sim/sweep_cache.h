@@ -97,7 +97,6 @@ class SweepJournal {
   /// The replayed blob for `key`, or nullptr. Replayed entries are fixed
   /// at open time; append() does not alter them.
   const std::string* find(const std::string& key) const;
-  bool contains(const std::string& key) const;
   /// Number of well-formed records replayed at open.
   usize replayed() const { return entries_.size(); }
   /// True when the existing file ended in a truncated record (the

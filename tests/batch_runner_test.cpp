@@ -12,10 +12,18 @@ namespace sempe {
 namespace {
 
 using sim::BatchCli;
+using Family = sim::MicrobenchFamily;
 using sim::MicrobenchJob;
 using sim::MicrobenchOptions;
 using sim::MicrobenchPoint;
 using workloads::Kind;
+
+/// Sweep options with only the worker count set.
+sim::SweepOptions on_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
 
 TEST(RunIndexed, ResultsComeBackInIndexOrder) {
   for (const usize threads : {usize{1}, usize{2}, usize{8}}) {
@@ -61,7 +69,7 @@ TEST(BatchCli, StripsOwnFlagsAndKeepsTheRest) {
   int argc = static_cast<int>(argv.size());
   const BatchCli cli = sim::parse_batch_cli(argc, argv.data());
   EXPECT_TRUE(cli.ok);
-  EXPECT_EQ(cli.threads, 6u);
+  EXPECT_EQ(cli.sweep.threads, 6u);
   EXPECT_TRUE(cli.want_json);
   EXPECT_EQ(cli.json_path, "out.json");
   EXPECT_TRUE(cli.help);
@@ -89,17 +97,17 @@ std::vector<MicrobenchJob> small_grid() {
 
 TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
   const auto jobs = small_grid();
-  const auto p1 = sim::run_microbench_jobs(jobs, 1);
-  const auto p2 = sim::run_microbench_jobs(jobs, 2);
-  const auto p8 = sim::run_microbench_jobs(jobs, 8);
-  const std::string j1 = sim::microbench_json("determinism", jobs, p1);
-  const std::string j2 = sim::microbench_json("determinism", jobs, p2);
-  const std::string j8 = sim::microbench_json("determinism", jobs, p8);
+  const auto r1 = sim::run_sweep<Family>(jobs, on_threads(1));
+  const auto r2 = sim::run_sweep<Family>(jobs, on_threads(2));
+  const auto r8 = sim::run_sweep<Family>(jobs, on_threads(8));
+  const std::string j1 = sim::sweep_json<Family>("determinism", jobs, r1);
+  const std::string j2 = sim::sweep_json<Family>("determinism", jobs, r2);
+  const std::string j8 = sim::sweep_json<Family>("determinism", jobs, r8);
   EXPECT_FALSE(j1.empty());
   EXPECT_EQ(j1, j2);
   EXPECT_EQ(j1, j8);
   // Sanity: results are real, not all-zero placeholders.
-  for (const MicrobenchPoint& p : p1) {
+  for (const MicrobenchPoint& p : r1.points) {
     EXPECT_GT(p.baseline_cycles, 0u);
     EXPECT_GT(p.sempe_cycles, 0u);
   }
@@ -107,8 +115,8 @@ TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
 
 TEST(BatchRunner, JsonOpensWithMetadataHeader) {
   const auto jobs = small_grid();
-  const auto points = sim::run_microbench_jobs(jobs, 2);
-  const std::string j = sim::microbench_json("header", jobs, points);
+  const std::string j = sim::sweep_json<Family>(
+      "header", jobs, sim::run_sweep<Family>(jobs, on_threads(2)));
   // The meta object precedes the points array and carries the schema
   // version, experiment name, workload description, and mode list. The
   // threads field is the constant 0 (thread-count invariant) — a real
@@ -133,16 +141,19 @@ TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
        "synthetic.ilp?size=6&chains=2&depth=3&iters=2&width=2",
        "micro.ones?size=8&iters=2"},
       opt);
-  const auto p1 = sim::run_workload_jobs(jobs, 1);
-  const auto p4 = sim::run_workload_jobs(jobs, 4);
-  const std::string j1 = sim::workload_json("determinism", jobs, p1);
-  const std::string j4 = sim::workload_json("determinism", jobs, p4);
+  using sim::WorkloadFamily;
+  const auto r1 = sim::run_sweep<WorkloadFamily>(jobs, on_threads(1));
+  const auto r4 = sim::run_sweep<WorkloadFamily>(jobs, on_threads(4));
+  const std::string j1 =
+      sim::sweep_json<WorkloadFamily>("determinism", jobs, r1);
+  const std::string j4 =
+      sim::sweep_json<WorkloadFamily>("determinism", jobs, r4);
   EXPECT_EQ(j1, j4);
   // Header names the distinct generators of the sweep.
   EXPECT_NE(
       j1.find("\"workload\": \"synthetic.stream,synthetic.ilp,micro.ones\""),
       std::string::npos);
-  for (const sim::WorkloadPoint& p : p1) {
+  for (const sim::WorkloadPoint& p : r1.points) {
     EXPECT_TRUE(p.results_ok) << p.spec;
     EXPECT_GT(p.baseline_cycles, 0u);
     EXPECT_GT(p.sempe_cycles, 0u);

@@ -28,6 +28,13 @@
 namespace sempe::sim {
 namespace {
 
+/// Sweep options with only the worker count set.
+SweepOptions on_threads(usize n) {
+  SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 /// Blank every value inside the points array (`"key": value` -> `"key": _`)
 /// while leaving the meta header verbatim.
 std::string normalize_points(const std::string& json) {
@@ -107,8 +114,8 @@ TEST(GoldenJson, BenchSyntheticSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = workload_grid(specs, MicrobenchOptions{});
-  const auto points = run_workload_jobs(jobs, 1);
-  const std::string json = workload_json("synthetic", jobs, points);
+  const std::string json = sweep_json<WorkloadFamily>(
+      "synthetic", jobs, run_sweep<WorkloadFamily>(jobs, on_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   check_golden("bench_synthetic.json.golden", normalize_points(json));
 }
@@ -121,8 +128,8 @@ TEST(GoldenJson, BenchLeakageSchemaIsPinned) {
       "synthetic.stream?size=32&width=1&iters=1",
   };
   const auto jobs = leakage_grid(specs, opt);
-  const auto points = run_leakage_jobs(jobs, 1);
-  const std::string json = leakage_json("leakage", jobs, points);
+  const std::string json = sweep_json<LeakageFamily>(
+      "leakage", jobs, run_sweep<LeakageFamily>(jobs, on_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   check_golden("bench_leakage.json.golden", normalize_points(json));
 }
@@ -134,11 +141,11 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = lint_grid(specs, opt);
-  const auto points = run_lint_jobs(jobs, 1);
-  const std::string json = lint_json("lint", jobs, points);
+  const auto jobs = spec_grid<LintFamily>(specs, opt);
+  const auto run = run_sweep<LintFamily>(jobs, on_threads(1));
+  const std::string json = sweep_json<LintFamily>("lint", jobs, run);
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
-  for (const auto& pt : points)
+  for (const auto& pt : run.points)
     EXPECT_TRUE(pt.ok()) << pt.lint.spec << ": " << pt.failure_summary();
   check_golden("bench_lint.json.golden", normalize_points(json));
 }
@@ -150,8 +157,8 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
   };
   const auto jobs = tenant_grid(specs, opt);
-  const auto points = run_tenant_jobs(jobs, 1);
-  const std::string json = tenant_json("tenants", jobs, points);
+  const std::string json = sweep_json<TenantFamily>(
+      "tenants", jobs, run_sweep<TenantFamily>(jobs, on_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   // The acceptance-gate flags CI greps for are part of the pinned schema.
   EXPECT_NE(json.find("\"legacy_recovery_above_chance\": 1"),
@@ -167,16 +174,16 @@ TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
   // guarantee is asserted here, not just in CI.
   const auto jobs =
       workload_grid(workloads::scenario_sweep_specs(1), MicrobenchOptions{});
-  const auto pts1 = run_workload_jobs(jobs, 1);
-  const auto pts4 = run_workload_jobs(jobs, 4);
-  const std::string j1 = workload_json("scenarios", jobs, pts1);
-  const std::string j4 = workload_json("scenarios", jobs, pts4);
+  const auto run1 = run_sweep<WorkloadFamily>(jobs, on_threads(1));
+  const std::string j1 = sweep_json<WorkloadFamily>("scenarios", jobs, run1);
+  const std::string j4 = sweep_json<WorkloadFamily>(
+      "scenarios", jobs, run_sweep<WorkloadFamily>(jobs, on_threads(4)));
   EXPECT_EQ(j1, j4);  // byte-identical across --threads values
   EXPECT_NE(j1.find("\"experiment\": \"scenarios\""), std::string::npos);
   EXPECT_NE(
       j1.find("\"workload\": \"crypto.aes,crypto.modexp,ds.hash_probe\""),
       std::string::npos);
-  for (const auto& pt : pts1) EXPECT_TRUE(pt.results_ok) << pt.spec;
+  for (const auto& pt : run1.points) EXPECT_TRUE(pt.results_ok) << pt.spec;
   check_golden("bench_scenarios.json.golden", normalize_points(j1));
 }
 
@@ -194,7 +201,7 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
   obs::Session session(opt);
   {
     const obs::ScopedSession scope(&session);
-    run_workload_jobs(jobs, 2);
+    run_sweep<WorkloadFamily>(jobs, on_threads(2));
   }
   const std::string report = obs::render_report("golden", session);
   EXPECT_NE(report.find("\"schema_version\": 1"), std::string::npos);
@@ -208,32 +215,26 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
 
 constexpr const char* kGoldenFingerprint = "golden-fingerprint";
 
-SweepOptions threads(usize n) {
-  SweepOptions opt;
-  opt.threads = n;
-  return opt;
-}
-
 /// The golden record of one family's small sweep: the full document and
 /// (for cached families) each point's blob and each job's key text.
-template <typename Job, typename Point>
-std::string orchestration_record(const std::string& json,
-                                 const std::vector<Job>& jobs,
-                                 const std::vector<Point>& points,
-                                 std::string (*encode)(const Point&)) {
+/// `strip` post-processes the document.
+template <typename F>
+std::string orchestration_record(const std::vector<typename F::Job>& jobs,
+                                 std::string (*strip)(const std::string&) =
+                                     nullptr) {
+  const auto run = run_sweep<F>(jobs, on_threads(2));
+  std::string json = sweep_json<F>("orch", jobs, run);
+  if (strip != nullptr) json = strip(json);
   std::string out = "== json\n" + json;
-  if (encode == nullptr) return out;
-  for (usize i = 0; i < points.size(); ++i)
-    out += "== blob " + std::to_string(i) + "\n" + encode(points[i]);
-  for (usize i = 0; i < jobs.size(); ++i)
-    out += "== key " + std::to_string(i) + "\n" +
-           job_identity(jobs[i], kGoldenFingerprint).canonical_text();
+  if constexpr (CachedFamily<F>) {
+    for (usize i = 0; i < run.points.size(); ++i)
+      out += "== blob " + std::to_string(i) + "\n" +
+             encode_point<F>(run.points[i]);
+    for (usize i = 0; i < jobs.size(); ++i)
+      out += "== key " + std::to_string(i) + "\n" +
+             job_identity<F>(jobs[i], kGoldenFingerprint).canonical_text();
+  }
   return out;
-}
-
-template <typename Point>
-std::string encode(const Point& p) {
-  return encode_point(p);
 }
 
 std::vector<std::string> two_synthetic_specs() {
@@ -250,69 +251,56 @@ security::AuditOptions two_samples() {
 TEST(GoldenJson, OrchestrationMicrobenchValuesArePinned) {
   MicrobenchOptions opt;
   opt.iterations = 2;
-  const auto jobs = microbench_grid(
-      {workloads::Kind::kOnes, workloads::Kind::kFibonacci}, {1, 2}, opt);
-  const auto run = run_microbench_sweep(jobs, threads(2));
   check_golden("orch_microbench.golden",
-               orchestration_record(microbench_json("orch", jobs, run), jobs,
-                                    run.points, &encode<MicrobenchPoint>));
+               orchestration_record<MicrobenchFamily>(microbench_grid(
+                   {workloads::Kind::kOnes, workloads::Kind::kFibonacci},
+                   {1, 2}, opt)));
 }
 
 TEST(GoldenJson, OrchestrationDjpegValuesArePinned) {
-  const auto jobs = djpeg_grid(
-      {workloads::OutputFormat::kPpm, workloads::OutputFormat::kBmp},
-      {4096}, 16);
-  const auto run = run_djpeg_sweep(jobs, threads(2));
   check_golden("orch_djpeg.golden",
-               orchestration_record(djpeg_json("orch", jobs, run), jobs,
-                                    run.points, &encode<DjpegPoint>));
+               orchestration_record<DjpegFamily>(djpeg_grid(
+                   {workloads::OutputFormat::kPpm,
+                    workloads::OutputFormat::kBmp},
+                   {4096}, 16)));
 }
 
 TEST(GoldenJson, OrchestrationWorkloadValuesArePinned) {
-  const auto jobs = workload_grid(two_synthetic_specs(), MicrobenchOptions{});
-  const auto run = run_workload_sweep(jobs, threads(2));
   check_golden("orch_workload.golden",
-               orchestration_record(workload_json("orch", jobs, run), jobs,
-                                    run.points, &encode<WorkloadPoint>));
+               orchestration_record<WorkloadFamily>(
+                   workload_grid(two_synthetic_specs(), {})));
 }
 
 TEST(GoldenJson, OrchestrationLeakageValuesArePinned) {
-  const auto jobs = leakage_grid(two_synthetic_specs(), two_samples());
-  const auto run = run_leakage_sweep(jobs, threads(2));
   check_golden("orch_leakage.golden",
-               orchestration_record(leakage_json("orch", jobs, run), jobs,
-                                    run.points, &encode<LeakagePoint>));
+               orchestration_record<LeakageFamily>(
+                   leakage_grid(two_synthetic_specs(), two_samples())));
 }
 
 TEST(GoldenJson, OrchestrationLintValuesArePinned) {
-  const auto jobs = lint_grid(two_synthetic_specs(), two_samples());
-  const auto run = run_lint_sweep(jobs, threads(2));
   check_golden("orch_lint.golden",
-               orchestration_record(lint_json("orch", jobs, run), jobs,
-                                    run.points, &encode<LintPoint>));
+               orchestration_record<LintFamily>(spec_grid<LintFamily>(
+                   two_synthetic_specs(), two_samples())));
 }
 
 TEST(GoldenJson, OrchestrationPerfValuesArePinned) {
-  // Perf points are timed: the document is pinned without its wall-clock
-  // lines, and the family has no blob or key to pin.
-  const auto jobs = perf_grid(two_synthetic_specs(), MicrobenchOptions{});
-  const auto run = run_perf_sweep(jobs, threads(2));
+  // Perf points are timed: the document is pinned without its
+  // wall-clock lines, and the family has no blob or key to pin.
   check_golden("orch_perf.golden",
-               orchestration_record<PerfJob, PerfPoint>(
-                   strip_perf_timing(perf_json("orch", jobs, run)), jobs,
-                   run.points, nullptr));
+               orchestration_record<PerfFamily>(
+                   spec_grid<PerfFamily>(two_synthetic_specs(), {}),
+                   &strip_perf_timing));
 }
 
 TEST(GoldenJson, OrchestrationTenantValuesArePinned) {
-  const auto jobs = tenant_grid(
-      {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
-       "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
-       "&iters=2"},
-      two_samples());
-  const auto run = run_tenant_sweep(jobs, threads(2));
-  check_golden("orch_tenant.golden",
-               orchestration_record(tenant_json("orch", jobs, run), jobs,
-                                    run.points, &encode<TenantPoint>));
+  check_golden(
+      "orch_tenant.golden",
+      orchestration_record<TenantFamily>(tenant_grid(
+          {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
+           "&iters=2",
+           "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
+           "&iters=2"},
+          two_samples())));
 }
 
 }  // namespace

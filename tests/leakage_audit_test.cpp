@@ -20,6 +20,13 @@ namespace {
 using workloads::WorkloadRegistry;
 using workloads::WorkloadSpec;
 
+/// Sweep options with only the worker count set.
+sim::SweepOptions on_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 /// Small-but-real audit spec for a registry name: width=3 gives an
 /// exhaustive 2^3 = 8-vector secret space; sizes are shrunk so the full
 /// registry sweep stays test-sized. Unknown (future) names fall back to
@@ -353,7 +360,7 @@ TEST(Audit, EveryRegisteredWorkloadIsClosedUnderSempe) {
 }
 
 // ---------------------------------------------------------------------------
-// The sim-layer fan-out: measure_leakage / LeakageJob / leakage_json.
+// The sim-layer fan-out: measure_leakage through the leakage family row.
 
 TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
   security::AuditOptions opt;
@@ -364,18 +371,20 @@ TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
   };
   const auto jobs = sim::leakage_grid(specs, opt);
   ASSERT_EQ(jobs.size(), 2u);
-  const auto pts1 = sim::run_leakage_jobs(jobs, 1);
-  const auto pts2 = sim::run_leakage_jobs(jobs, 2);
-  ASSERT_EQ(pts1.size(), 2u);
+  const auto run1 = sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(1));
+  const auto run2 = sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(2));
+  ASSERT_EQ(run1.points.size(), 2u);
 
-  for (const auto& pt : pts1) {
+  for (const auto& pt : run1.points) {
     EXPECT_TRUE(pt.sempe_closed()) << pt.audit.to_string();
     EXPECT_TRUE(pt.legacy_leaks()) << pt.audit.to_string();
     EXPECT_TRUE(pt.results_ok());
   }
 
-  const std::string j1 = sim::leakage_json("leakage", jobs, pts1);
-  const std::string j2 = sim::leakage_json("leakage", jobs, pts2);
+  const std::string j1 =
+      sim::sweep_json<sim::LeakageFamily>("leakage", jobs, run1);
+  const std::string j2 =
+      sim::sweep_json<sim::LeakageFamily>("leakage", jobs, run2);
   EXPECT_EQ(j1, j2);  // byte-identical across thread counts
   EXPECT_NE(j1.find("\"experiment\": \"leakage\""), std::string::npos);
   EXPECT_NE(j1.find("\"sempe_distinguishable\": 0"), std::string::npos);
@@ -395,10 +404,13 @@ TEST(LeakageJobs, StatisticalVerdictsReachTheJson) {
   opt.stat_budget = 96;
   const auto jobs = sim::leakage_grid(
       {"crypto.modexp?width=3&iters=1&size=4&bits=8"}, opt);
-  const auto pts1 = sim::run_leakage_jobs(jobs, 1);
-  const auto pts4 = sim::run_leakage_jobs(jobs, 4);
-  const std::string j1 = sim::leakage_json("leakage", jobs, pts1);
-  EXPECT_EQ(j1, sim::leakage_json("leakage", jobs, pts4));
+  const auto json = [&](usize threads) {
+    return sim::sweep_json<sim::LeakageFamily>(
+        "leakage", jobs,
+        sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(threads)));
+  };
+  const std::string j1 = json(1);
+  EXPECT_EQ(j1, json(4));
   EXPECT_NE(j1.find("\"legacy_stat_verdict\": \"leak\""), std::string::npos)
       << j1;
   EXPECT_NE(j1.find("\"sempe_stat_verdict\": \"no-evidence\""),

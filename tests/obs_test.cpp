@@ -17,6 +17,13 @@
 namespace sempe::obs {
 namespace {
 
+/// Sweep options with only the worker count set.
+sim::SweepOptions on_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
+
 // Minimal structural JSON check: strings respected, braces/brackets
 // balanced, never negative. Not a full parser — CI runs python3 -m
 // json.tool over real outputs; this keeps the unit test dependency-free.
@@ -262,7 +269,7 @@ TEST(Session, MetricsReportIsThreadCountInvariant) {
     opt.metrics = true;
     Session s(opt);
     const ScopedSession scope(&s);
-    sim::run_workload_jobs(jobs, threads);
+    sim::run_sweep<sim::WorkloadFamily>(jobs, on_threads(threads));
     return strip_report_timing(render_report("unit", s));
   };
   EXPECT_EQ(sweep(1), sweep(4));

@@ -21,8 +21,15 @@ using mem::Cache;
 using mem::CacheConfig;
 using mem::CacheStat;
 using sim::MicrobenchOptions;
-using sim::PerfJob;
+using sim::PerfFamily;
 using sim::PerfPoint;
+
+/// Sweep options with only the worker count set.
+sim::SweepOptions on_threads(usize n) {
+  sim::SweepOptions opt;
+  opt.threads = n;
+  return opt;
+}
 
 // ---------------------------------------------------------------------------
 // Counter-refactor equivalence.
@@ -116,8 +123,8 @@ TEST(CounterEquivalence, HierarchyExportAggregatesCacheViews) {
 // ---------------------------------------------------------------------------
 // bench_perf determinism and schema.
 
-std::vector<PerfJob> small_perf_jobs() {
-  return sim::perf_grid({"synthetic.stream?width=1&iters=2",
+std::vector<sim::WorkloadJob> small_perf_jobs() {
+  return sim::spec_grid<PerfFamily>({"synthetic.stream?width=1&iters=2",
                          "crypto.modexp?width=1&iters=2&bits=8",
                          "ds.hash_probe?width=1&iters=2"},
                         MicrobenchOptions{});
@@ -125,13 +132,13 @@ std::vector<PerfJob> small_perf_jobs() {
 
 TEST(PerfHarness, NonTimingFieldsByteIdenticalAcrossThreads) {
   const auto jobs = small_perf_jobs();
-  const auto p1 = sim::run_perf_jobs(jobs, 1);
-  const auto p4 = sim::run_perf_jobs(jobs, 4);
-  const std::string j1 = sim::strip_perf_timing(sim::perf_json("perf", jobs, p1));
-  const std::string j4 = sim::strip_perf_timing(sim::perf_json("perf", jobs, p4));
+  const std::string full = sim::sweep_json<PerfFamily>(
+      "perf", jobs, sim::run_sweep<PerfFamily>(jobs, on_threads(1)));
+  const std::string j1 = sim::strip_perf_timing(full);
+  const std::string j4 = sim::strip_perf_timing(sim::sweep_json<PerfFamily>(
+      "perf", jobs, sim::run_sweep<PerfFamily>(jobs, on_threads(4))));
   EXPECT_EQ(j1, j4);
   // The strip really removed the wall-clock lines and nothing else.
-  const std::string full = sim::perf_json("perf", jobs, p1);
   EXPECT_NE(full.find("\"wall_ms\""), std::string::npos);
   EXPECT_NE(full.find("\"simulated_mips\""), std::string::npos);
   EXPECT_NE(full.find("\"ns_per_instr\""), std::string::npos);
@@ -143,8 +150,8 @@ TEST(PerfHarness, NonTimingFieldsByteIdenticalAcrossThreads) {
 
 TEST(PerfHarness, SchemaCarriesMetaAndPerPointFields) {
   const auto jobs = small_perf_jobs();
-  const auto pts = sim::run_perf_jobs(jobs, 2);
-  const std::string json = sim::perf_json("perf", jobs, pts);
+  const auto run = sim::run_sweep<PerfFamily>(jobs, on_threads(2));
+  const std::string json = sim::sweep_json<PerfFamily>("perf", jobs, run);
   for (const char* key :
        {"\"schema_version\": 3", "\"experiment\": \"perf\"",
         "\"modes\": \"legacy,sempe,cte\"", "\"results_ok\"",
@@ -153,11 +160,32 @@ TEST(PerfHarness, SchemaCarriesMetaAndPerPointFields) {
         "\"ns_per_instr\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  for (const PerfPoint& pp : pts) {
+  for (const PerfPoint& pp : run.points) {
     EXPECT_TRUE(pp.point.results_ok) << pp.point.mismatch_summary();
     EXPECT_GT(pp.simulated_instructions(), 0u);
     EXPECT_GE(pp.wall_seconds, 0.0);
   }
+}
+
+TEST(PerfHarness, TimedPointsAreNeverCachedOrJournaled) {
+  // A replayed wall clock would be a wrong measurement, so the perf family
+  // has no key and refuses both persistence flags before running a job.
+  const auto jobs = small_perf_jobs();
+  const auto refused = [&](const char* flag) {
+    sim::SweepOptions opt;
+    (flag == std::string("--cache-dir") ? opt.cache_dir : opt.journal_path) =
+        "unused";
+    try {
+      (void)sim::run_sweep<PerfFamily>(jobs, opt);
+    } catch (const SimError& e) {
+      return std::string(e.what()).find(flag) != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused("--cache-dir"));
+  EXPECT_TRUE(refused("--journal"));
+  static_assert(!sim::CachedFamily<PerfFamily>);
+  static_assert(sim::CachedFamily<sim::WorkloadFamily>);
 }
 
 TEST(PerfHarness, SweepSpecsResolveThroughRegistry) {

@@ -29,12 +29,20 @@ namespace fs = std::filesystem;
 
 using sim::BatchCli;
 using sim::JobIdentity;
+using sim::LeakageFamily;
+using sim::MicrobenchFamily;
 using sim::MicrobenchJob;
 using sim::MicrobenchOptions;
 using sim::SweepCache;
 using sim::SweepJournal;
 using sim::SweepOptions;
 using workloads::Kind;
+
+/// The cache key of `job` as family F under fingerprint `fp`.
+template <typename F>
+std::string key(const typename F::Job& job, const std::string& fp = "fp") {
+  return sim::job_identity<F>(job, fp).key();
+}
 
 // Fresh directory per test, removed on teardown.
 class TempDirTest : public ::testing::Test {
@@ -68,7 +76,7 @@ TEST(JobKey, PermutedSpecParamsShareOneKey) {
   sim::WorkloadJob b;
   b.label = "a completely different label";
   b.spec = "synthetic.ptr_chase?stride=64&size=4096";
-  EXPECT_EQ(sim::job_cache_key(a, "fp"), sim::job_cache_key(b, "fp"));
+  EXPECT_EQ(key<sim::WorkloadFamily>(a), key<sim::WorkloadFamily>(b));
 }
 
 TEST(JobKey, LabelIsCosmetic) {
@@ -78,7 +86,7 @@ TEST(JobKey, LabelIsCosmetic) {
   a.width = 2;
   MicrobenchJob b = a;
   b.label = "two";
-  EXPECT_EQ(sim::job_cache_key(a, "fp"), sim::job_cache_key(b, "fp"));
+  EXPECT_EQ(key<MicrobenchFamily>(a), key<MicrobenchFamily>(b));
 }
 
 TEST(JobKey, EveryIdentityFieldChangesTheKey) {
@@ -103,24 +111,24 @@ TEST(JobKey, MachineKnobsAndGridCoordinatesChangeTheKey) {
   MicrobenchJob base;
   base.kind = Kind::kOnes;
   base.width = 2;
-  const std::string k0 = sim::job_cache_key(base, "fp");
+  const std::string k0 = key<MicrobenchFamily>(base);
 
   MicrobenchJob v = base;
   v.kind = Kind::kFibonacci;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<MicrobenchFamily>(v), k0);
   v = base;
   v.width = 3;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<MicrobenchFamily>(v), k0);
   v = base;
   v.opt.spm_bytes_per_cycle *= 2;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<MicrobenchFamily>(v), k0);
   v = base;
   v.opt.enable_prefetchers = !v.opt.enable_prefetchers;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<MicrobenchFamily>(v), k0);
   v = base;
   v.opt.iterations += 1;  // microbench results DO depend on iterations
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
-  EXPECT_NE(sim::job_cache_key(base, "fp2"), k0);
+  EXPECT_NE(key<MicrobenchFamily>(v), k0);
+  EXPECT_NE(key<MicrobenchFamily>(base, "fp2"), k0);
 }
 
 TEST(JobKey, OptionsTheMeasurementIgnoresAreExcluded) {
@@ -132,16 +140,16 @@ TEST(JobKey, OptionsTheMeasurementIgnoresAreExcluded) {
   w2.opt.iterations += 7;
   w2.opt.size = 12345;
   w2.opt.input_seed = 99;
-  EXPECT_EQ(sim::job_cache_key(w, "fp"), sim::job_cache_key(w2, "fp"));
+  EXPECT_EQ(key<sim::WorkloadFamily>(w), key<sim::WorkloadFamily>(w2));
 
   sim::LeakageJob l;
   l.spec = "synthetic.cond_branch?width=2";
   sim::LeakageJob l2 = l;
   l2.opt.progress = !l2.opt.progress;
-  EXPECT_EQ(sim::job_cache_key(l, "fp"), sim::job_cache_key(l2, "fp"));
+  EXPECT_EQ(key<LeakageFamily>(l), key<LeakageFamily>(l2));
   l2 = l;
   l2.opt.samples += 1;  // sample budget DOES shape the audit
-  EXPECT_NE(sim::job_cache_key(l2, "fp"), sim::job_cache_key(l, "fp"));
+  EXPECT_NE(key<LeakageFamily>(l2), key<LeakageFamily>(l));
 }
 
 TEST(JobKey, StatisticalTierOptionsShapeTheKey) {
@@ -149,17 +157,17 @@ TEST(JobKey, StatisticalTierOptionsShapeTheKey) {
   // cache rather than replay an audit computed under different settings.
   sim::LeakageJob base;
   base.spec = "synthetic.cond_branch?width=2";
-  const std::string k0 = sim::job_cache_key(base, "fp");
+  const std::string k0 = key<LeakageFamily>(base);
 
   sim::LeakageJob v = base;
   v.opt.stat_samples = 8;
-  const std::string k_on = sim::job_cache_key(v, "fp");
+  const std::string k_on = key<LeakageFamily>(v);
   EXPECT_NE(k_on, k0);
   v.opt.stat_budget = 64;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k_on);
+  EXPECT_NE(key<LeakageFamily>(v), k_on);
   v = base;
   v.opt.confidence = 3.0;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<LeakageFamily>(v), k0);
 }
 
 TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
@@ -168,7 +176,7 @@ TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
   // new decoder can never be fed an old blob.
   sim::LeakageJob job;
   job.spec = "synthetic.cond_branch?width=2";
-  const JobIdentity id = sim::job_identity(job, "fp");
+  const JobIdentity id = sim::job_identity<LeakageFamily>(job, "fp");
   EXPECT_EQ(id.schema_version, sim::kResultSchemaVersion);
   EXPECT_EQ(sim::kResultSchemaVersion, 3);  // this PR's bump
 
@@ -187,56 +195,56 @@ TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
   base.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  const std::string k0 = sim::job_cache_key(base, "fp");
+  const std::string k0 = key<sim::TenantFamily>(base);
 
   sim::TenantJob v = base;  // a different victim kernel
   v.spec =
       "attack.prime_probe?victim=ds.hash_probe&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   v = base;  // a different attacker (probe style)
   v.spec =
       "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   v = base;  // a different victim shape under the same kernel
   v.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=16"
       "&iters=2&quantum=2000";
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   v = base;  // a different scheduler quantum
   v.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=1500";
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   v = base;  // a different co-residence degree
   v.tenants = 3;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   v = base;  // the audit budget shapes the result, like LeakageJob
   v.opt.samples += 1;
-  EXPECT_NE(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_NE(key<sim::TenantFamily>(v), k0);
 
   // Labels stay cosmetic and permuted params still share one key.
   v = base;
   v.label = "some other label";
-  EXPECT_EQ(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_EQ(key<sim::TenantFamily>(v), k0);
   v = base;
   v.spec =
       "attack.prime_probe?quantum=2000&iters=2&bits=8&size=8&width=2"
       "&victim=crypto.modexp";
-  EXPECT_EQ(sim::job_cache_key(v, "fp"), k0);
+  EXPECT_EQ(key<sim::TenantFamily>(v), k0);
 }
 
 TEST(JobKey, KeyIsSixteenHexDigits) {
   MicrobenchJob j;
   j.kind = Kind::kOnes;
   j.width = 1;
-  const std::string k = sim::job_cache_key(j, "fp");
+  const std::string k = key<MicrobenchFamily>(j);
   ASSERT_EQ(k.size(), 16u);
   for (const char c : k)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << k;
@@ -300,9 +308,9 @@ TEST(SweepCodec, MicrobenchRoundTripIsExact) {
   MicrobenchOptions opt;
   opt.iterations = 2;
   const auto pt = sim::measure_microbench(Kind::kFibonacci, 2, opt);
-  const std::string blob = sim::encode_point(pt);
-  const auto back = sim::decode_microbench_point(blob);
-  EXPECT_EQ(sim::encode_point(back), blob);
+  const std::string blob = sim::encode_point<MicrobenchFamily>(pt);
+  const auto back = sim::decode_point<MicrobenchFamily>(blob);
+  EXPECT_EQ(sim::encode_point<MicrobenchFamily>(back), blob);
   EXPECT_EQ(back.sempe_cycles, pt.sempe_cycles);
   EXPECT_EQ(back.width, pt.width);
   EXPECT_EQ(back.kind, pt.kind);
@@ -313,9 +321,9 @@ TEST(SweepCodec, LeakageRoundTripPreservesTheFullAudit) {
   opt.samples = 2;
   const auto pt =
       sim::measure_leakage("synthetic.cond_branch?width=2&iters=1", opt);
-  const std::string blob = sim::encode_point(pt);
-  const auto back = sim::decode_leakage_point(blob);
-  EXPECT_EQ(sim::encode_point(back), blob);
+  const std::string blob = sim::encode_point<LeakageFamily>(pt);
+  const auto back = sim::decode_point<LeakageFamily>(blob);
+  EXPECT_EQ(sim::encode_point<LeakageFamily>(back), blob);
   // to_string is what sempe_run --audit prints; a cache hit must print
   // the same report a fresh audit would.
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
@@ -333,9 +341,9 @@ TEST(SweepCodec, LeakageRoundTripIsBitExactWithTheStatisticalTier) {
       "crypto.modexp?width=3&iters=1&size=4&bits=8", opt);
   EXPECT_GT(pt.audit.stat_pairs, 0u);
 
-  const std::string blob = sim::encode_point(pt);
-  const auto back = sim::decode_leakage_point(blob);
-  EXPECT_EQ(sim::encode_point(back), blob);
+  const std::string blob = sim::encode_point<LeakageFamily>(pt);
+  const auto back = sim::decode_point<LeakageFamily>(blob);
+  EXPECT_EQ(sim::encode_point<LeakageFamily>(back), blob);
   EXPECT_EQ(back.audit.stat_pairs, pt.audit.stat_pairs);
   ASSERT_EQ(back.audit.modes.size(), pt.audit.modes.size());
   bool saw_nonzero_t = false;
@@ -373,9 +381,9 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   EXPECT_TRUE(legacy->attack);
   EXPECT_GT(legacy->key_bits_total, 0u);
 
-  const std::string blob = sim::encode_point(pt);
-  const auto back = sim::decode_tenant_point(blob);
-  EXPECT_EQ(sim::encode_point(back), blob);
+  const std::string blob = sim::encode_point<sim::TenantFamily>(pt);
+  const auto back = sim::decode_point<sim::TenantFamily>(blob);
+  EXPECT_EQ(sim::encode_point<sim::TenantFamily>(back), blob);
   ASSERT_EQ(back.audit.modes.size(), pt.audit.modes.size());
   for (usize mi = 0; mi < pt.audit.modes.size(); ++mi) {
     const security::ModeAudit& m = pt.audit.modes[mi];
@@ -387,19 +395,27 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   }
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
   // A tenant blob must not decode as a leakage point (family header).
-  EXPECT_THROW(sim::decode_leakage_point(blob), SimError);
+  EXPECT_THROW(sim::decode_point<LeakageFamily>(blob), SimError);
   // And the tenant path refuses non-attack workloads outright.
   EXPECT_THROW(sim::measure_tenant("micro.ones?width=1&iters=1"), SimError);
 }
 
 TEST(SweepCodec, CorruptBlobsThrow) {
-  EXPECT_THROW(sim::decode_microbench_point(""), SimError);
-  EXPECT_THROW(sim::decode_microbench_point("not a point blob\n"), SimError);
+  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(""), SimError);
+  EXPECT_THROW(sim::decode_point<MicrobenchFamily>("not a point blob\n"),
+               SimError);
   // A valid header of the wrong family must fail loudly, not mis-decode.
   MicrobenchOptions opt;
   opt.iterations = 1;
   const auto pt = sim::measure_microbench(Kind::kOnes, 1, opt);
-  EXPECT_THROW(sim::decode_djpeg_point(sim::encode_point(pt)), SimError);
+  const std::string blob = sim::encode_point<MicrobenchFamily>(pt);
+  EXPECT_THROW(sim::decode_point<sim::DjpegFamily>(blob), SimError);
+  // A missing field or an out-of-range enum fails too.
+  std::string truncated = blob.substr(0, blob.rfind("u cte_instructions"));
+  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(truncated), SimError);
+  std::string bad_kind = blob;
+  bad_kind.replace(bad_kind.find("u kind ") + 7, 1, "9");
+  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(bad_kind), SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -416,22 +432,22 @@ class SweepOrchestrationTest : public TempDirTest {};
 TEST_F(SweepOrchestrationTest, WarmCacheIsByteIdenticalAndCounted) {
   const auto jobs = small_grid();
   const std::string plain =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
 
   SweepOptions opt;
   opt.threads = 2;
   opt.cache_dir = path("cache");
-  const auto cold = sim::run_microbench_sweep(jobs, opt);
+  const auto cold = sim::run_sweep<MicrobenchFamily>(jobs, opt);
   EXPECT_EQ(cold.cache.hits, 0u);
   EXPECT_EQ(cold.cache.misses, jobs.size());
   EXPECT_EQ(cold.cache.stores, jobs.size());
-  EXPECT_EQ(sim::microbench_json("orch", jobs, cold), plain);
+  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, cold), plain);
 
-  const auto warm = sim::run_microbench_sweep(jobs, opt);
+  const auto warm = sim::run_sweep<MicrobenchFamily>(jobs, opt);
   EXPECT_EQ(warm.cache.hits, jobs.size());
   EXPECT_EQ(warm.cache.misses, 0u);
   EXPECT_EQ(warm.cache.stores, 0u);
-  EXPECT_EQ(sim::microbench_json("orch", jobs, warm), plain);
+  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, warm), plain);
 }
 
 TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
@@ -442,10 +458,10 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
   SweepOptions before;
   before.cache_dir = path("cache");
   before.fingerprint = "build-one";
-  (void)sim::run_microbench_sweep(jobs, before);
+  (void)sim::run_sweep<MicrobenchFamily>(jobs, before);
   SweepOptions after = before;
   after.fingerprint = "build-two";
-  const auto rebuilt = sim::run_microbench_sweep(jobs, after);
+  const auto rebuilt = sim::run_sweep<MicrobenchFamily>(jobs, after);
   EXPECT_EQ(rebuilt.cache.hits, 0u);
   EXPECT_EQ(rebuilt.cache.misses, jobs.size());
   EXPECT_EQ(rebuilt.cache.stores, jobs.size());
@@ -454,13 +470,13 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
   // under a MATCHING key but produced by a different build must be
   // reported stale and re-executed, never served.
   const SweepCache imposter(path("cache"), "some-other-build");
-  EXPECT_TRUE(imposter.store(sim::job_cache_key(jobs[0], "build-two"),
+  EXPECT_TRUE(imposter.store(key<MicrobenchFamily>(jobs[0], "build-two"),
                              "bogus payload\n"));
-  const auto poisoned = sim::run_microbench_sweep(jobs, after);
+  const auto poisoned = sim::run_sweep<MicrobenchFamily>(jobs, after);
   EXPECT_EQ(poisoned.cache.stale, 1u);
   EXPECT_EQ(poisoned.cache.hits, jobs.size() - 1);
   // ...and the re-execution repaired the poisoned entry in place.
-  const auto warm = sim::run_microbench_sweep(jobs, after);
+  const auto warm = sim::run_sweep<MicrobenchFamily>(jobs, after);
   EXPECT_EQ(warm.cache.hits, jobs.size());
   EXPECT_EQ(warm.cache.stale, 0u);
 }
@@ -468,26 +484,60 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
 TEST_F(SweepOrchestrationTest, ResumeAfterKilledJournalIsByteIdentical) {
   const auto jobs = small_grid();
   const std::string fresh =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
 
   SweepOptions opt;
   opt.journal_path = path("sweep.journal");
-  (void)sim::run_microbench_sweep(jobs, opt);
+  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
 
   // Kill simulation: tear bytes off the journal tail, losing one record.
   const auto full_size = fs::file_size(opt.journal_path);
   fs::resize_file(opt.journal_path, full_size - 4);
 
-  const auto resumed = sim::run_microbench_sweep(jobs, opt);
+  const auto resumed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
   EXPECT_EQ(resumed.cache.journal_hits, jobs.size() - 1);
   EXPECT_EQ(resumed.cache.misses, 1u);
-  EXPECT_EQ(sim::microbench_json("orch", jobs, resumed), fresh);
+  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, resumed), fresh);
 
   // The resumed run re-journaled the lost record: a third run replays
   // everything and executes nothing.
-  const auto replayed = sim::run_microbench_sweep(jobs, opt);
+  const auto replayed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
   EXPECT_EQ(replayed.cache.journal_hits, jobs.size());
-  EXPECT_EQ(sim::microbench_json("orch", jobs, replayed), fresh);
+  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, replayed), fresh);
+}
+
+TEST_F(SweepOrchestrationTest, CacheHitSupersedesACorruptJournalRecord) {
+  // A journal record that fails to decode falls through to the cache. The
+  // cache hit must be mirrored into the journal, so a later resume replays
+  // every job even after the cache is gone.
+  const auto jobs = small_grid();
+  SweepOptions opt;
+  opt.cache_dir = path("cache");
+  opt.journal_path = path("sweep.journal");
+  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
+
+  // Break the first record's blob header in place; the framing survives.
+  std::string text;
+  {
+    std::ifstream in(opt.journal_path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto at = text.find("sempe-point 1 ");
+  ASSERT_NE(at, std::string::npos);
+  text[at] = 'X';
+  std::ofstream(opt.journal_path, std::ios::binary) << text;
+
+  const auto repaired = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  EXPECT_EQ(repaired.cache.corrupt, 1u);
+  EXPECT_EQ(repaired.cache.hits, 1u);
+  EXPECT_EQ(repaired.cache.journal_hits, jobs.size() - 1);
+
+  fs::remove_all(opt.cache_dir);
+  const auto resumed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  EXPECT_EQ(resumed.cache.journal_hits, jobs.size());
+  EXPECT_EQ(resumed.cache.stores, 0u);  // nothing executed
+  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, resumed),
+            sim::sweep_json<MicrobenchFamily>("orch", jobs, repaired));
 }
 
 TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
@@ -502,17 +552,17 @@ TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
       aopt);
   SweepOptions opt;
   opt.cache_dir = path("cache");
-  const auto cold = sim::run_tenant_sweep(jobs, opt);
+  const auto cold = sim::run_sweep<sim::TenantFamily>(jobs, opt);
   EXPECT_EQ(cold.cache.misses, jobs.size());
-  const std::string fresh = sim::tenant_json("tenants", jobs, cold);
+  const std::string fresh = sim::sweep_json<sim::TenantFamily>("tenants", jobs, cold);
   EXPECT_NE(fresh.find("\"legacy_recovery_above_chance\": 1"),
             std::string::npos);
   EXPECT_NE(fresh.find("\"sempe_at_chance\": 1"), std::string::npos);
   EXPECT_NE(fresh.find("\"cte_at_chance\": 1"), std::string::npos);
 
-  const auto warm = sim::run_tenant_sweep(jobs, opt);
+  const auto warm = sim::run_sweep<sim::TenantFamily>(jobs, opt);
   EXPECT_EQ(warm.cache.hits, jobs.size());
-  EXPECT_EQ(sim::tenant_json("tenants", jobs, warm), fresh);
+  EXPECT_EQ(sim::sweep_json<sim::TenantFamily>("tenants", jobs, warm), fresh);
 }
 
 TEST(SweepShard, PartitionIsExactAndDeterministic) {
@@ -521,7 +571,7 @@ TEST(SweepShard, PartitionIsExactAndDeterministic) {
   for (usize s = 0; s < 3; ++s) {
     SweepOptions opt;
     opt.shard = {s, 3};
-    const auto run = sim::run_microbench_sweep(jobs, opt);
+    const auto run = sim::run_sweep<MicrobenchFamily>(jobs, opt);
     EXPECT_EQ(run.total_jobs, jobs.size());
     for (const usize g : run.indices) {
       EXPECT_EQ(g % 3, s);
@@ -534,14 +584,14 @@ TEST(SweepShard, PartitionIsExactAndDeterministic) {
 TEST(SweepShard, MergedShardJsonIsByteIdenticalToUnsharded) {
   const auto jobs = small_grid();
   const std::string full =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
 
   std::vector<std::string> shard_docs;
   for (usize s = 0; s < 3; ++s) {
     SweepOptions opt;
     opt.shard = {s, 3};
-    shard_docs.push_back(sim::microbench_json(
-        "orch", jobs, sim::run_microbench_sweep(jobs, opt)));
+    shard_docs.push_back(sim::sweep_json<MicrobenchFamily>(
+        "orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, opt)));
     // Shard documents are self-describing...
     EXPECT_NE(shard_docs.back().find("\"shard\": \"" + std::to_string(s) +
                                      "/3\""),
@@ -559,15 +609,15 @@ TEST(SweepShard, MergeRejectsIncompleteOrMismatchedShardSets) {
   for (usize s = 0; s < 3; ++s) {
     SweepOptions opt;
     opt.shard = {s, 3};
-    docs.push_back(sim::microbench_json("orch", jobs,
-                                        sim::run_microbench_sweep(jobs, opt)));
+    docs.push_back(sim::sweep_json<MicrobenchFamily>("orch", jobs,
+                                        sim::run_sweep<MicrobenchFamily>(jobs, opt)));
   }
   EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1]}), SimError);
   EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1], docs[1]}), SimError);
   EXPECT_THROW(sim::merge_shard_json({}), SimError);
   // An unsharded document is not a shard of anything.
   const std::string full =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
   EXPECT_THROW(sim::merge_shard_json({full}), SimError);
 }
 
@@ -591,16 +641,12 @@ TEST(BatchCliSweep, ParsesOrchestrationFlags) {
   const BatchCli cli = parse({"bench", "--shard=1/3", "--cache-dir=/tmp/c",
                               "--journal=/tmp/j", "--jobs=fib.*W=2"});
   EXPECT_TRUE(cli.ok);
-  EXPECT_EQ(cli.shard_index, 1u);
-  EXPECT_EQ(cli.shard_count, 3u);
-  EXPECT_EQ(cli.cache_dir, "/tmp/c");
-  EXPECT_EQ(cli.journal_path, "/tmp/j");
+  EXPECT_EQ(cli.sweep.shard.index, 1u);
+  EXPECT_EQ(cli.sweep.shard.count, 3u);
+  EXPECT_EQ(cli.sweep.cache_dir, "/tmp/c");
+  EXPECT_EQ(cli.sweep.journal_path, "/tmp/j");
   EXPECT_EQ(cli.jobs_regex, "fib.*W=2");
-  const SweepOptions opt = sim::sweep_options(cli);
-  EXPECT_EQ(opt.shard.index, 1u);
-  EXPECT_EQ(opt.shard.count, 3u);
-  EXPECT_EQ(opt.cache_dir, "/tmp/c");
-  EXPECT_EQ(opt.journal_path, "/tmp/j");
+
 }
 
 TEST(BatchCliSweep, RejectsMalformedOrchestrationFlags) {
@@ -632,7 +678,7 @@ TEST(BatchCliSweep, FilteredSweepJsonContainsOnlyMatchingLabels) {
   auto jobs = small_grid();
   sim::apply_job_filter(jobs, cli);
   const std::string json =
-      sim::microbench_json("orch", jobs, sim::run_microbench_sweep(jobs, {}));
+      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
   EXPECT_NE(json.find("ones"), std::string::npos);
   EXPECT_EQ(json.find("fibonacci"), std::string::npos);
 }
@@ -670,14 +716,14 @@ TEST_F(SweepOrchestrationTest, SweepExportsCacheMetrics) {
   const auto jobs = small_grid();
   SweepOptions opt;
   opt.cache_dir = path("cache");
-  (void)sim::run_microbench_sweep(jobs, opt);  // cold: fill the cache
+  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);  // cold: fill the cache
 
   obs::Session::Options oopt;
   oopt.metrics = true;
   obs::Session session(oopt);
   {
     const obs::ScopedSession scoped(&session);
-    (void)sim::run_microbench_sweep(jobs, opt);
+    (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
   }
   const auto merged = session.metrics().merged();
   const auto& counters = merged.counters();
