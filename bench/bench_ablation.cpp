@@ -83,11 +83,11 @@ int main(int argc, char** argv) {
         // The sections recombine points by job label: a filtered or
         // sharded run holds only a subset, so rows with a missing
         // ingredient are skipped.
-        const auto by_job = sim::points_by_job(sweep.run);
-        const auto find = [&](const std::string& label) {
+        const auto find =
+            [&](const std::string& label) -> const sim::MicrobenchPoint* {
           for (usize k = 0; k < sweep.jobs.size(); ++k)
-            if (sweep.jobs[k].label == label) return by_job[k];
-          return static_cast<const sim::MicrobenchPoint*>(nullptr);
+            if (sweep.jobs[k].label == label) return &sweep.run.points[k];
+          return nullptr;
         };
         for (usize w = 1; w <= kSnapshotWidths; ++w) {
           const std::string suffix = "/W=" + std::to_string(w);

@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   // dispatches through the batch runner.
   const char* sweep_flag = cli.want_json          ? "--json"
                            : cli.sweep.threads != 0 ? "--threads"
-                           : cli.sweep.shard.count != 1 ? "--shard"
+                           : cli.shard_count != 1 ? "--shard"
                            : !cli.sweep.cache_dir.empty() ? "--cache-dir"
                            : !cli.sweep.journal_path.empty() ? "--journal"
                            : !cli.jobs_regex.empty() ? "--jobs"

@@ -84,18 +84,11 @@ namespace {
 // The metadata header. `threads` is deliberately the constant 0: results
 // are thread-count invariant by construction, and recording the actual
 // worker count would break the byte-identical-across---threads guarantee.
-// A sharded document (count > 1) additionally carries the shard meta line
-// — and each point an "_index" — which is exactly the information
-// merge_shard_json strips back out; an unsharded document carries
-// neither.
 std::string json_header(const std::string& experiment,
-                        const std::string& workload, const char* modes,
-                        const ShardSpec& shard) {
+                        const std::string& workload, const char* modes) {
   std::string out = "{\n";
   out += "  \"meta\": {\n";
   append_f(out, "    \"schema_version\": %d,\n", kResultSchemaVersion);
-  if (shard.count > 1)
-    append_f(out, "    \"shard\": \"%zu/%zu\",\n", shard.index, shard.count);
   append_f(out, "    \"experiment\": \"%s\",\n",
            json_escape(experiment).c_str());
   append_f(out, "    \"workload\": \"%s\",\n", json_escape(workload).c_str());
@@ -106,9 +99,8 @@ std::string json_header(const std::string& experiment,
   return out;
 }
 
-// Header workload field: the distinct generator names, in job order —
-// always over the FULL job list, so shard documents carry the same meta
-// header as the unsharded run. Families without specs name themselves.
+// Header workload field: the distinct generator names, in job order.
+// Families without specs name themselves.
 template <typename F>
 std::string workload_field(const std::vector<typename F::Job>& jobs) {
   if constexpr (requires(const typename F::Job& j) { j.spec; }) {
@@ -143,15 +135,8 @@ template <typename F>
 SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
                                       const SweepOptions& opt) {
   using Point = typename F::Point;
-  if (opt.shard.count == 0 || opt.shard.index >= opt.shard.count)
-    throw SimError("bad shard " + std::to_string(opt.shard.index) + "/" +
-                   std::to_string(opt.shard.count));
   SweepRun<Point> run;
-  run.total_jobs = jobs.size();
-  run.shard = opt.shard;
-  for (usize i = opt.shard.index; i < jobs.size(); i += opt.shard.count)
-    run.indices.push_back(i);
-  const usize n = run.indices.size();
+  const usize n = jobs.size();
   // Touch the registry before fanning out: its lazy construction is the
   // only shared mutable state a job could race on.
   workloads::WorkloadRegistry::instance();
@@ -160,8 +145,8 @@ SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
   if (!persist) {
     run.points = run_indexed_labeled(
         n, opt.threads,
-        [&](usize k) { return F::measure(jobs[run.indices[k]]); },
-        [&](usize k) { return jobs[run.indices[k]].label; });
+        [&](usize k) { return F::measure(jobs[k]); },
+        [&](usize k) { return jobs[k].label; });
     return run;
   }
   if constexpr (!CachedFamily<F>) {
@@ -179,14 +164,14 @@ SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
     if (!opt.journal_path.empty())
       journal = std::make_unique<SweepJournal>(opt.journal_path);
 
-    // Planning pass: resolve each selected job from the journal first (the
+    // Planning pass: resolve each job from the journal first (the
     // resume path), then the cache. Every unresolved job is counted exactly
     // once as miss, stale, or corrupt.
     run.points.resize(n);
     std::vector<std::string> keys(n);
-    std::vector<usize> pending;  // positions into run.indices / run.points
+    std::vector<usize> pending;  // positions into jobs / run.points
     for (usize k = 0; k < n; ++k) {
-      keys[k] = job_identity<F>(jobs[run.indices[k]], fingerprint).key();
+      keys[k] = job_identity<F>(jobs[k], fingerprint).key();
       bool counted = false;
       if (journal != nullptr) {
         if (const std::string* blob = journal->find(keys[k])) {
@@ -231,13 +216,13 @@ SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
         pending.size(), opt.threads,
         [&](usize j) {
           const usize k = pending[j];
-          Point p = F::measure(jobs[run.indices[k]]);
+          Point p = F::measure(jobs[k]);
           const std::string blob = encode_point<F>(p);
           if (cache != nullptr) cache->store(keys[k], blob);
           if (journal != nullptr) journal->append(keys[k], blob);
           return p;
         },
-        [&](usize j) { return jobs[run.indices[pending[j]]].label; });
+        [&](usize j) { return jobs[pending[j]].label; });
     for (usize j = 0; j < pending.size(); ++j)
       run.points[pending[j]] = std::move(executed[j]);
 
@@ -267,15 +252,12 @@ template <typename F>
 std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
                        const SweepRun<typename F::Point>& run) {
-  SEMPE_CHECK(run.points.size() == run.indices.size());
-  SEMPE_CHECK(run.total_jobs == jobs.size());
+  SEMPE_CHECK(run.points.size() == jobs.size());
   std::string out =
-      json_header(experiment, workload_field<F>(jobs), F::kModes, run.shard);
-  for (usize k = 0; k < run.points.size(); ++k) {
-    const typename F::Job& job = jobs[run.indices[k]];
+      json_header(experiment, workload_field<F>(jobs), F::kModes);
+  for (usize k = 0; k < jobs.size(); ++k) {
+    const typename F::Job& job = jobs[k];
     out += "    {\n";
-    if (run.shard.count > 1)
-      append_f(out, "      \"_index\": %zu,\n", run.indices[k]);
     JsonFields fields(out);
     fields.s("label", job.label);
     F::json(fields, job, run.points[k]);
@@ -622,7 +604,8 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
         cli.ok = false;
         cli.error = a;
       } else {
-        cli.sweep.shard = {static_cast<usize>(idx), static_cast<usize>(count)};
+        cli.shard_index = static_cast<usize>(idx);
+        cli.shard_count = static_cast<usize>(count);
       }
     } else if (!std::strncmp(a, "--cache-dir=", 12)) {
       cli.sweep.cache_dir = a + 12;
@@ -770,8 +753,10 @@ void print_batch_usage(const char* argv0, const char* what) {
                "  --progress       stderr progress meter (done/total, ETA,\n"
                "                   worker utilization)\n"
                "  --jobs=REGEX     run only jobs whose label matches REGEX\n"
-               "  --shard=i/N      run shard i of N (merge the N --json\n"
-               "                   docs back together with sempe_merge)\n"
+               "  --shard=i/N      run only shard i of a round-robin N-way\n"
+               "                   split of the jobs (reassemble by\n"
+               "                   rerunning in full over the merged\n"
+               "                   --cache-dir of every shard)\n"
                "  --cache-dir=D    reuse results cached under D; store\n"
                "                   fresh ones (content-addressed, safe\n"
                "                   across concurrent sweeps)\n"

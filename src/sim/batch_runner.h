@@ -23,7 +23,8 @@
 //   --metrics-out=F  end-of-run structured metric report (obs/)
 //   --progress       stderr progress meter (jobs done/total, ETA)
 //   --jobs=REGEX     keep only jobs whose label matches REGEX
-//   --shard=i/N      run shard i of a deterministic N-way partition
+//   --shard=i/N      keep only shard i of a round-robin N-way partition
+//                    of the surviving jobs
 //   --cache-dir=D    content-addressed result cache (sim/sweep_cache.h)
 //   --journal=F      append-only result journal; rerun to resume a
 //                    killed sweep
@@ -37,10 +38,14 @@
 // traces to their own files).
 //
 // The orchestration invariant: the --json document is a pure function of
-// the job list. Thread count, shard assignment (after sempe_merge), a
-// warm vs cold cache, and a resumed vs fresh sweep all produce
-// byte-identical output — every one of those knobs only changes HOW the
-// points get computed, never what they contain.
+// the job list. Thread count, a warm vs cold cache, and a resumed vs fresh
+// sweep all produce byte-identical output — every one of those knobs only
+// changes HOW the points get computed, never what they contain. --jobs and
+// --shard only choose the job list: a sharded run is a filtered run whose
+// document covers its subset. To reassemble a sharded sweep, run each
+// shard with its own --cache-dir, copy the cache directories into one
+// (entries are content-addressed files), and rerun the full sweep against
+// it: every job is a cache hit, and the document is the unsharded one.
 #pragma once
 
 #include <algorithm>
@@ -171,49 +176,22 @@ auto run_indexed_labeled(usize n, usize threads, Fn&& fn, LabelFn&& label_of)
 // ---------------------------------------------------------------------------
 // Sweep orchestration options and results.
 
-/// Deterministic shard assignment: job i belongs to shard `index` of
-/// `count` iff i % count == index. Round-robin (not contiguous blocks) so
-/// every shard samples the whole grid — jobs at nearby indices tend to
-/// share a generator and a cost profile.
-struct ShardSpec {
-  usize index = 0;
-  usize count = 1;
-};
-
 /// Everything that controls HOW a sweep executes. None of these fields
 /// may change the result content (the byte-identity contract).
 struct SweepOptions {
   usize threads = 0;         // 0 = all hardware threads
-  ShardSpec shard;
   std::string cache_dir;     // content-addressed cache root ("" = off)
   std::string journal_path;  // append-only result journal ("" = off)
   std::string fingerprint;   // "" = sempe::code_fingerprint()
 };
 
-/// The outcome of one orchestrated sweep. `points[k]` is the result of
-/// job `indices[k]` of the original job list; with no shard and no
-/// --jobs filter upstream, indices is the identity and points is simply
-/// job-ordered.
+/// The outcome of one orchestrated sweep: `points[i]` is the result of
+/// job i of the list it was given.
 template <typename Point>
 struct SweepRun {
   std::vector<Point> points;
-  std::vector<usize> indices;  // global job index per point, ascending
-  usize total_jobs = 0;        // size of the full (pre-shard) job list
-  ShardSpec shard;
-  CacheStats cache;            // how each selected job was resolved
+  CacheStats cache;  // how each job was resolved
 };
-
-/// Map a sweep's points back onto the full job grid: result[g] is the
-/// point of job g, or nullptr when job g was not part of this run
-/// (owned by another shard). For index-structured human reports
-/// (bench_ablation) that address points by grid position.
-template <typename Point>
-std::vector<const Point*> points_by_job(const SweepRun<Point>& run) {
-  std::vector<const Point*> by_job(run.total_jobs, nullptr);
-  for (usize k = 0; k < run.indices.size(); ++k)
-    by_job[run.indices[k]] = &run.points[k];
-  return by_job;
-}
 
 // ---------------------------------------------------------------------------
 // The sweep-family table: one row per kind of sweep point.
@@ -364,8 +342,8 @@ concept CachedFamily = requires(const typename F::Job& j) {
   { F::key(j) } -> std::same_as<KeyText>;
 };
 
-/// Run a sweep: shard selection, then (for a cached family) journal and
-/// cache resolution of each selected job, then parallel execution of
+/// Run a sweep: (for a cached family) journal and cache resolution of each
+/// job, then parallel execution of
 /// whatever is left, with write-back as each job retires. Throws SimError
 /// when asked to persist a family that is not cached.
 template <typename F>
@@ -429,11 +407,8 @@ const std::vector<usize>& djpeg_sizes();
 
 inline constexpr int kResultSchemaVersion = 3;
 
-/// The --json document of a sweep. `jobs` is the FULL job list (shard
-/// documents carry the same meta header as the unsharded run; labels
-/// resolve through run.indices). A sharded run (shard.count > 1) adds a
-/// "shard" meta line and a per-point "_index" so sempe_merge can
-/// reassemble the unsharded document byte-for-byte.
+/// The --json document of a sweep: `run.points[i]` is the point of
+/// `jobs[i]`.
 template <typename F>
 std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
@@ -448,13 +423,15 @@ std::string strip_perf_timing(const std::string& json);
 // Shared bench CLI.
 
 struct BatchCli {
-  SweepOptions sweep;       // --threads, --shard, --cache-dir, --journal
+  SweepOptions sweep;       // --threads, --cache-dir, --journal
   bool want_json = false;
   std::string json_path;    // empty with want_json set = stdout
   std::string trace_path;   // --trace-out=F (empty: tracing off)
   std::string metrics_path; // --metrics-out=F (empty: metrics off)
   bool progress = false;    // --progress: stderr sweep progress meter
   std::string jobs_regex;   // --jobs=REGEX (empty: keep every job)
+  usize shard_index = 0;    // --shard=i/N: keep shard i ...
+  usize shard_count = 1;    // ... of N (1: keep every job)
   bool help = false;
   bool ok = true;           // false: unrecognized argument
   std::string error;        // the offending argument
@@ -471,18 +448,26 @@ BatchCli parse_batch_cli(int& argc, char** argv);
 bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
                            const char* what, int* exit_code);
 
-/// Apply --jobs=REGEX: drop every job whose label does not match
-/// (std::regex_search, ECMAScript grammar). An empty surviving list is
-/// legal — the sweep runs zero jobs and the JSON has an empty points
-/// array. parse_batch_cli has already validated the pattern.
+/// Apply --jobs=REGEX, then --shard=i/N. --jobs drops every job whose
+/// label does not match (std::regex_search, ECMAScript grammar); --shard
+/// then keeps the surviving jobs at positions p with p % N == i.
+/// Round-robin rather than contiguous blocks, so every shard samples the
+/// whole grid — jobs at nearby positions tend to share a generator and a
+/// cost profile. An empty surviving list is legal — the sweep runs zero
+/// jobs and the JSON has an empty points array. parse_batch_cli has
+/// already validated the pattern and the shard.
 template <typename Job>
 void apply_job_filter(std::vector<Job>& jobs, const BatchCli& cli) {
-  if (cli.jobs_regex.empty()) return;
-  const std::regex re(cli.jobs_regex);
-  jobs.erase(std::remove_if(
-                 jobs.begin(), jobs.end(),
-                 [&](const Job& j) { return !std::regex_search(j.label, re); }),
-             jobs.end());
+  if (!cli.jobs_regex.empty()) {
+    const std::regex re(cli.jobs_regex);
+    std::erase_if(jobs,
+                  [&](const Job& j) { return !std::regex_search(j.label, re); });
+  }
+  if (cli.shard_count <= 1) return;
+  std::vector<Job> shard;
+  for (usize p = cli.shard_index; p < jobs.size(); p += cli.shard_count)
+    shard.push_back(std::move(jobs[p]));
+  jobs = std::move(shard);
 }
 
 /// Stream for the human-readable report: stderr when the JSON goes to

@@ -1,10 +1,10 @@
 // The sweep orchestration subsystem: content-address job keys
 // (sim/job_key.h), the on-disk cache and the resume journal
 // (sim/sweep_cache.h), the point codec (sim/sweep_codec.h), shard
-// partitioning and sempe_merge's document merge (sim/sweep_merge.h), and
-// the byte-identity contract that ties them together — a sweep's --json
-// output must not depend on thread count, shard split, cache temperature,
-// or whether the run resumed from a killed journal.
+// partitioning, and the byte-identity contract that ties them together —
+// a sweep's --json output must not depend on thread count, cache
+// temperature, or whether the run resumed from a killed journal, and a
+// sharded sweep reassembles through the cache into the unsharded bytes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,7 +19,6 @@
 #include "sim/job_key.h"
 #include "sim/sweep_cache.h"
 #include "sim/sweep_codec.h"
-#include "sim/sweep_merge.h"
 #include "util/check.h"
 
 namespace sempe {
@@ -419,7 +418,7 @@ TEST(SweepCodec, CorruptBlobsThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Orchestrated sweeps: cache temperature, resume, shards.
+// Orchestrated sweeps: cache temperature, resume.
 
 std::vector<MicrobenchJob> small_grid() {
   MicrobenchOptions opt;
@@ -565,60 +564,99 @@ TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
   EXPECT_EQ(sim::sweep_json<sim::TenantFamily>("tenants", jobs, warm), fresh);
 }
 
+// ---------------------------------------------------------------------------
+// Shards: a job filter whose results the cache reassembles.
+
+/// The jobs --shard=index/count keeps of `jobs`.
+template <typename Job>
+std::vector<Job> shard_of(std::vector<Job> jobs, usize index, usize count) {
+  BatchCli cli;
+  cli.shard_index = index;
+  cli.shard_count = count;
+  sim::apply_job_filter(jobs, cli);
+  return jobs;
+}
+
 TEST(SweepShard, PartitionIsExactAndDeterministic) {
   const auto jobs = small_grid();
-  std::set<usize> seen;
+  std::set<std::string> seen;
   for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    const auto run = sim::run_sweep<MicrobenchFamily>(jobs, opt);
-    EXPECT_EQ(run.total_jobs, jobs.size());
-    for (const usize g : run.indices) {
-      EXPECT_EQ(g % 3, s);
-      EXPECT_TRUE(seen.insert(g).second) << "job " << g << " ran twice";
+    const auto shard = shard_of(jobs, s, 3);
+    EXPECT_EQ(shard.size(), (jobs.size() - s + 2) / 3);
+    for (usize k = 0; k < shard.size(); ++k) {
+      EXPECT_EQ(shard[k].label, jobs[s + 3 * k].label);  // round-robin
+      EXPECT_TRUE(seen.insert(shard[k].label).second)
+          << shard[k].label << " is in two shards";
     }
   }
   EXPECT_EQ(seen.size(), jobs.size());
 }
 
-TEST(SweepShard, MergedShardJsonIsByteIdenticalToUnsharded) {
-  const auto jobs = small_grid();
-  const std::string full =
-      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
-
-  std::vector<std::string> shard_docs;
-  for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    shard_docs.push_back(sim::sweep_json<MicrobenchFamily>(
-        "orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, opt)));
-    // Shard documents are self-describing...
-    EXPECT_NE(shard_docs.back().find("\"shard\": \"" + std::to_string(s) +
-                                     "/3\""),
-              std::string::npos);
-  }
-  // ...and merge back to the exact unsharded bytes, in any input order.
-  EXPECT_EQ(sim::merge_shard_json(shard_docs), full);
-  std::swap(shard_docs[0], shard_docs[2]);
-  EXPECT_EQ(sim::merge_shard_json(shard_docs), full);
+TEST(SweepShard, ShardsTheJobsThatSurviveTheRegex) {
+  BatchCli cli;
+  cli.jobs_regex = "/W=1$";
+  cli.shard_index = 1;
+  cli.shard_count = 2;
+  auto jobs = small_grid();  // ones/W=1 ones/W=2 fibonacci/W=1 fibonacci/W=2
+  sim::apply_job_filter(jobs, cli);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].label, "fibonacci/W=1");
 }
 
-TEST(SweepShard, MergeRejectsIncompleteOrMismatchedShardSets) {
-  const auto jobs = small_grid();
-  std::vector<std::string> docs;
-  for (usize s = 0; s < 3; ++s) {
-    SweepOptions opt;
-    opt.shard = {s, 3};
-    docs.push_back(sim::sweep_json<MicrobenchFamily>("orch", jobs,
-                                        sim::run_sweep<MicrobenchFamily>(jobs, opt)));
+class SweepShardTest : public TempDirTest {
+ protected:
+  /// Run `jobs` as `count` shards, each into its own cache directory, copy
+  /// the directories into one, and rerun the full list against it: every
+  /// job must be a cache hit, and the document must be `cold`'s bytes.
+  template <typename F>
+  void expect_reassembles(const std::vector<typename F::Job>& jobs,
+                          usize count, const std::string& cold) {
+    const std::string merged = path("merged" + std::to_string(count));
+    for (usize s = 0; s < count; ++s) {
+      SweepOptions opt;
+      opt.threads = 2;
+      opt.cache_dir = path("shard" + std::to_string(count) + "_" +
+                           std::to_string(s));
+      const auto shard = shard_of(jobs, s, count);
+      const auto run = sim::run_sweep<F>(shard, opt);
+      EXPECT_EQ(run.cache.misses, shard.size());
+      fs::copy(opt.cache_dir, merged,
+               fs::copy_options::recursive | fs::copy_options::skip_existing);
+    }
+    SweepOptions full;
+    full.threads = 2;
+    full.cache_dir = merged;
+    const auto run = sim::run_sweep<F>(jobs, full);
+    EXPECT_EQ(run.cache.misses, 0u);
+    EXPECT_EQ(run.cache.hits, jobs.size());
+    EXPECT_EQ(run.cache.stores, 0u);  // nothing executed
+    EXPECT_EQ(sim::sweep_json<F>("orch", jobs, run), cold);
   }
-  EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1]}), SimError);
-  EXPECT_THROW(sim::merge_shard_json({docs[0], docs[1], docs[1]}), SimError);
-  EXPECT_THROW(sim::merge_shard_json({}), SimError);
-  // An unsharded document is not a shard of anything.
-  const std::string full =
-      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
-  EXPECT_THROW(sim::merge_shard_json({full}), SimError);
+};
+
+TEST_F(SweepShardTest, CacheReassemblesMicrobenchShards) {
+  const auto jobs = small_grid();
+  const std::string cold = sim::sweep_json<MicrobenchFamily>(
+      "orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
+  expect_reassembles<MicrobenchFamily>(jobs, 2, cold);
+  expect_reassembles<MicrobenchFamily>(jobs, 3, cold);
+}
+
+TEST_F(SweepShardTest, CacheReassemblesTenantShards) {
+  security::AuditOptions aopt;
+  aopt.samples = 2;
+  const auto jobs = sim::tenant_grid(
+      {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
+       "&iters=2",
+       "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
+       "&iters=2",
+       "attack.prime_probe?victim=crypto.modexp&width=1&size=8&bits=8"
+       "&iters=2"},
+      aopt);
+  const std::string cold = sim::sweep_json<sim::TenantFamily>(
+      "orch", jobs, sim::run_sweep<sim::TenantFamily>(jobs, {}));
+  expect_reassembles<sim::TenantFamily>(jobs, 2, cold);
+  expect_reassembles<sim::TenantFamily>(jobs, 3, cold);
 }
 
 // ---------------------------------------------------------------------------
@@ -641,8 +679,8 @@ TEST(BatchCliSweep, ParsesOrchestrationFlags) {
   const BatchCli cli = parse({"bench", "--shard=1/3", "--cache-dir=/tmp/c",
                               "--journal=/tmp/j", "--jobs=fib.*W=2"});
   EXPECT_TRUE(cli.ok);
-  EXPECT_EQ(cli.sweep.shard.index, 1u);
-  EXPECT_EQ(cli.sweep.shard.count, 3u);
+  EXPECT_EQ(cli.shard_index, 1u);
+  EXPECT_EQ(cli.shard_count, 3u);
   EXPECT_EQ(cli.sweep.cache_dir, "/tmp/c");
   EXPECT_EQ(cli.sweep.journal_path, "/tmp/j");
   EXPECT_EQ(cli.jobs_regex, "fib.*W=2");
