@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 
 #include "sim/job_key.h"
@@ -538,6 +539,7 @@ void PerfFamily::json(JsonFields& out, const Job&, const Point& pp) {
   out.f("simulated_mips", pp.simulated_mips());
   out.f("ns_per_instr", pp.ns_per_instruction());
 }
+
 std::string strip_perf_timing(const std::string& json) {
   static const char* const kTimingKeys[] = {"\"wall_ms\"", "\"simulated_mips\"",
                                             "\"ns_per_instr\""};
@@ -559,35 +561,40 @@ std::string strip_perf_timing(const std::string& json) {
 
 BatchCli parse_batch_cli(int& argc, char** argv) {
   BatchCli cli;
+  // The flags that take a non-empty string value.
+  const std::pair<const char*, std::string*> string_flags[] = {
+      {"--trace-out=", &cli.trace_path},
+      {"--metrics-out=", &cli.metrics_path},
+      {"--cache-dir=", &cli.sweep.cache_dir},
+      {"--journal=", &cli.sweep.journal_path},
+      {"--jobs=", &cli.jobs_regex},
+  };
+  const auto reject = [&cli](const char* a) {
+    cli.ok = false;
+    cli.error = a;
+  };
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (!std::strncmp(a, "--threads=", 10)) {
+    const auto string_flag = std::find_if(
+        std::begin(string_flags), std::end(string_flags), [a](const auto& f) {
+          return !std::strncmp(a, f.first, std::strlen(f.first));
+        });
+    if (string_flag != std::end(string_flags)) {
+      *string_flag->second = a + std::strlen(string_flag->first);
+      if (string_flag->second->empty()) reject(a);
+    } else if (!std::strncmp(a, "--threads=", 10)) {
       char* end = nullptr;
       const long long n = std::strtoll(a + 10, &end, 10);
-      if (n < 0 || end == a + 10 || *end != '\0') {
-        cli.ok = false;
-        cli.error = a;
-      } else {
+      if (n < 0 || end == a + 10 || *end != '\0')
+        reject(a);
+      else
         cli.sweep.threads = static_cast<usize>(n);
-      }
     } else if (!std::strcmp(a, "--json")) {
       cli.want_json = true;
     } else if (!std::strncmp(a, "--json=", 7)) {
       cli.want_json = true;
       cli.json_path = a + 7;
-    } else if (!std::strncmp(a, "--trace-out=", 12)) {
-      cli.trace_path = a + 12;
-      if (cli.trace_path.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      }
-    } else if (!std::strncmp(a, "--metrics-out=", 14)) {
-      cli.metrics_path = a + 14;
-      if (cli.metrics_path.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      }
     } else if (!std::strcmp(a, "--progress")) {
       cli.progress = true;
     } else if (!std::strncmp(a, "--shard=", 8)) {
@@ -601,42 +608,23 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
         good = end != p && *end == '\0' && count >= 1 && idx < count;
       }
       if (!good) {
-        cli.ok = false;
-        cli.error = a;
+        reject(a);
       } else {
         cli.shard_index = static_cast<usize>(idx);
         cli.shard_count = static_cast<usize>(count);
-      }
-    } else if (!std::strncmp(a, "--cache-dir=", 12)) {
-      cli.sweep.cache_dir = a + 12;
-      if (cli.sweep.cache_dir.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      }
-    } else if (!std::strncmp(a, "--journal=", 10)) {
-      cli.sweep.journal_path = a + 10;
-      if (cli.sweep.journal_path.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      }
-    } else if (!std::strncmp(a, "--jobs=", 7)) {
-      cli.jobs_regex = a + 7;
-      if (cli.jobs_regex.empty()) {
-        cli.ok = false;
-        cli.error = a;
-      } else {
-        try {
-          const std::regex probe(cli.jobs_regex);
-        } catch (const std::regex_error&) {
-          cli.ok = false;
-          cli.error = a;
-        }
       }
     } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
       cli.help = true;
     } else {
       argv[kept++] = argv[i];
-      continue;
+    }
+  }
+  if (!cli.jobs_regex.empty()) {
+    try {
+      const std::regex probe(cli.jobs_regex);
+    } catch (const std::regex_error&) {
+      cli.ok = false;
+      cli.error = "--jobs=" + cli.jobs_regex;
     }
   }
   // Anything not recognized stays in argv; the caller decides whether

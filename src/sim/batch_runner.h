@@ -3,7 +3,7 @@
 // Every figure/table of the paper is a sweep over independent experiment
 // points: each point builds its own Program and Simulator from its config
 // and is deterministic given that config (util/rng.h), so points can run
-// concurrently with nothing shared. The runner shards a job list over a
+// concurrently with nothing shared. The runner spreads a job list over a
 // thread pool and writes each result into a pre-sized vector slot by
 // index, which makes the output ordering — and any JSON serialization of
 // it — byte-identical regardless of thread count.

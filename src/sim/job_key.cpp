@@ -10,22 +10,6 @@
 
 namespace sempe::sim {
 
-u64 fnv1a64(std::string_view text) {
-  u64 h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string key_hex(u64 key) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
-  return buf;
-}
-
 std::string canonical_spec_key(const std::string& spec_text) {
   try {
     workloads::WorkloadSpec spec = workloads::WorkloadSpec::parse(spec_text);
@@ -51,7 +35,16 @@ std::string JobIdentity::canonical_text() const {
   return out;
 }
 
-std::string JobIdentity::key() const { return key_hex(fnv1a64(canonical_text())); }
+std::string JobIdentity::key() const {
+  u64 h = 14695981039346656037ull;  // 64-bit FNV-1a
+  for (const char c : canonical_text()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
 
 namespace {
 

@@ -23,16 +23,10 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "sim/batch_runner.h"
 
 namespace sempe::sim {
-
-/// 64-bit FNV-1a over `text`.
-u64 fnv1a64(std::string_view text);
-/// Render a key as 16 lowercase hex digits (the cache filename form).
-std::string key_hex(u64 key);
 
 /// Canonicalize a `name?key=val&...` spec for hashing: parse, sort params
 /// by key, re-serialize. Specs that fail to parse (the measurement would
@@ -51,7 +45,8 @@ struct JobIdentity {
   /// The exact text the key hashes (stable across builds; also the
   /// debugging form: two jobs collide iff these strings are equal).
   std::string canonical_text() const;
-  /// key_hex(fnv1a64(canonical_text())).
+  /// The 64-bit FNV-1a hash of canonical_text() as 16 lowercase hex
+  /// digits (the cache filename form).
   std::string key() const;
 };
 

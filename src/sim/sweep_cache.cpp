@@ -77,7 +77,7 @@ bool SweepCache::store(const std::string& key, const std::string& blob) const {
   std::error_code ec;
   std::filesystem::create_directories(dir_ + "/" + key.substr(0, 2), ec);
   if (ec) {
-    std::fprintf(stderr, "cache: cannot create shard dir for '%s'\n",
+    std::fprintf(stderr, "cache: cannot create the directory for '%s'\n",
                  key.c_str());
     return false;
   }

@@ -74,9 +74,6 @@ class SweepCache {
   /// Returns false on failure. Thread-safe.
   bool store(const std::string& key, const std::string& blob) const;
 
-  const std::string& dir() const { return dir_; }
-  const std::string& fingerprint() const { return fingerprint_; }
-
  private:
   std::string entry_path(const std::string& key) const;
 
