@@ -343,9 +343,9 @@ concept CachedFamily = requires(const typename F::Job& j) {
 };
 
 /// Run a sweep: (for a cached family) journal and cache resolution of each
-/// job, then parallel execution of
-/// whatever is left, with write-back as each job retires. Throws SimError
-/// when asked to persist a family that is not cached.
+/// job, then parallel execution of whatever is left, with write-back as
+/// each job retires. Throws SimError when asked to persist a family that
+/// is not cached.
 template <typename F>
 SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
                                       const SweepOptions& opt);
