@@ -565,6 +565,71 @@ TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Duplicate jobs: a sweep resolves each distinct job key once and hands
+// the point to every job that shares the key.
+
+/// `jobs`, then every job again under a second label.
+template <typename Job>
+std::vector<Job> doubled(std::vector<Job> jobs) {
+  const usize n = jobs.size();
+  for (usize k = 0; k < n; ++k) {
+    Job twin = jobs[k];
+    twin.label += "/again";
+    jobs.push_back(std::move(twin));
+  }
+  return jobs;
+}
+
+class SweepDedupTest : public TempDirTest {
+ protected:
+  template <typename F>
+  void expect_each_key_runs_once(const std::vector<typename F::Job>& jobs) {
+    const usize distinct = jobs.size() / 2;
+    SweepOptions opt;
+    opt.threads = 2;
+    opt.cache_dir = path("cache");
+    obs::Session::Options oopt;
+    oopt.metrics = true;
+    obs::Session session(oopt);
+    sim::SweepRun<typename F::Point> cold;
+    {
+      const obs::ScopedSession scoped(&session);
+      cold = sim::run_sweep<F>(jobs, opt);
+    }
+    EXPECT_EQ(cold.cache.misses, distinct);
+    EXPECT_EQ(cold.cache.stores, distinct);
+    const auto merged = session.metrics().merged();
+    const auto completed = merged.counters().find("jobs.completed");
+    ASSERT_NE(completed, merged.counters().end());
+    EXPECT_EQ(completed->second, distinct);
+    const std::string doc = sim::sweep_json<F>("dup", jobs, cold);
+    EXPECT_NE(doc.find("/again"), std::string::npos);
+
+    const auto warm = sim::run_sweep<F>(jobs, opt);
+    EXPECT_EQ(warm.cache.hits, distinct);
+    EXPECT_EQ(warm.cache.stores, 0u);
+    EXPECT_EQ(sim::sweep_json<F>("dup", jobs, warm), doc);
+
+    // No cache and no journal: the same planning pass, the same document.
+    EXPECT_EQ(sim::sweep_json<F>("dup", jobs, sim::run_sweep<F>(jobs, {})),
+              doc);
+  }
+};
+
+TEST_F(SweepDedupTest, MicrobenchDuplicatesRunOnce) {
+  expect_each_key_runs_once<MicrobenchFamily>(doubled(small_grid()));
+}
+
+TEST_F(SweepDedupTest, TenantDuplicatesRunOnce) {
+  security::AuditOptions aopt;
+  aopt.samples = 2;
+  expect_each_key_runs_once<sim::TenantFamily>(doubled(sim::tenant_grid(
+      {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
+       "&iters=2"},
+      aopt)));
+}
+
+// ---------------------------------------------------------------------------
 // Shards: a job filter whose results the cache reassembles.
 
 /// The jobs --shard=index/count keeps of `jobs`.
