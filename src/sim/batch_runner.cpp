@@ -7,12 +7,11 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <unordered_map>
 
 #include "sim/job_key.h"
 #include "sim/sweep_codec.h"
 #include "util/fingerprint.h"
-#include "workloads/scenarios.h"
-#include "workloads/synthetic.h"
 
 namespace sempe::sim {
 
@@ -142,111 +141,113 @@ SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
   // only shared mutable state a job could race on.
   workloads::WorkloadRegistry::instance();
 
-  const bool persist = !opt.cache_dir.empty() || !opt.journal_path.empty();
-  if (!persist) {
-    run.points = run_indexed_labeled(
-        n, opt.threads,
-        [&](usize k) { return F::measure(jobs[k]); },
-        [&](usize k) { return jobs[k].label; });
-    return run;
-  }
-  if constexpr (!CachedFamily<F>) {
-    throw SimError(std::string(F::kName) +
-                   " points are measured fresh on every run: " +
-                   (opt.cache_dir.empty() ? "--journal" : "--cache-dir") +
-                   " is not supported");
-  } else {
-    const std::string fingerprint =
-        opt.fingerprint.empty() ? code_fingerprint() : opt.fingerprint;
-    std::unique_ptr<SweepCache> cache;
-    if (!opt.cache_dir.empty())
-      cache = std::make_unique<SweepCache>(opt.cache_dir, fingerprint);
-    std::unique_ptr<SweepJournal> journal;
-    if (!opt.journal_path.empty())
-      journal = std::make_unique<SweepJournal>(opt.journal_path);
+  const std::string fingerprint =
+      opt.fingerprint.empty() ? code_fingerprint() : opt.fingerprint;
+  std::unique_ptr<SweepCache> cache;
+  if (!opt.cache_dir.empty())
+    cache = std::make_unique<SweepCache>(opt.cache_dir, fingerprint);
+  std::unique_ptr<SweepJournal> journal;
+  if (!opt.journal_path.empty())
+    journal = std::make_unique<SweepJournal>(opt.journal_path);
 
-    // Planning pass: resolve each job from the journal first (the
-    // resume path), then the cache. Every unresolved job is counted exactly
-    // once as miss, stale, or corrupt.
-    run.points.resize(n);
-    std::vector<std::string> keys(n);
-    std::vector<usize> pending;  // positions into jobs / run.points
-    for (usize k = 0; k < n; ++k) {
-      keys[k] = job_identity<F>(jobs[k], fingerprint).key();
-      bool counted = false;
-      if (journal != nullptr) {
-        if (const std::string* blob = journal->find(keys[k])) {
-          try {
-            run.points[k] = decode_point<F>(*blob);
-            ++run.cache.journal_hits;
-            continue;
-          } catch (const SimError&) {
-            ++run.cache.corrupt;
-            counted = true;
-          }
-        }
-      }
-      if (cache != nullptr) {
-        const SweepCache::Lookup hit = cache->lookup(keys[k]);
-        if (hit.status == SweepCache::Status::kHit) {
-          try {
-            Point p = decode_point<F>(hit.blob);
-            ++run.cache.hits;
-            // The journal holds no decodable record of this job (that
-            // would have resolved it above), so mirror the hit: a later
-            // kill + resume replays it even if the cache has been pruned
-            // meanwhile, and a corrupt record is superseded.
-            if (journal != nullptr) journal->append(keys[k], hit.blob);
-            run.points[k] = std::move(p);
-            continue;
-          } catch (const SimError&) {
-            if (!counted) ++run.cache.corrupt;
-            counted = true;
-          }
-        } else if (hit.status == SweepCache::Status::kStale) {
-          if (!counted) ++run.cache.stale;
+  // Distinct keys in first-occurrence order; slot[k] is job k's.
+  std::vector<std::string> keys;
+  std::vector<usize> first;  // a job position per distinct key
+  std::vector<usize> slot(n);
+  std::unordered_map<std::string, usize> index;
+  for (usize k = 0; k < n; ++k) {
+    std::string key = job_identity<F>(jobs[k], fingerprint).key();
+    const auto [it, fresh] = index.emplace(key, keys.size());
+    if (fresh) {
+      keys.push_back(std::move(key));
+      first.push_back(k);
+    }
+    slot[k] = it->second;
+  }
+
+  // Planning pass: resolve each distinct key from the journal first (the
+  // resume path), then the cache. Every unresolved key is counted exactly
+  // once as miss, stale, or corrupt.
+  std::vector<Point> points(keys.size());
+  std::vector<usize> pending;  // distinct-key indices left to execute
+  for (usize d = 0; d < keys.size(); ++d) {
+    bool counted = false;
+    if (journal != nullptr) {
+      if (const std::string* blob = journal->find(keys[d])) {
+        try {
+          points[d] = decode_point<F>(*blob);
+          ++run.cache.journal_hits;
+          continue;
+        } catch (const SimError&) {
+          ++run.cache.corrupt;
           counted = true;
         }
       }
-      if (!counted) ++run.cache.misses;
-      pending.push_back(k);
     }
-    if (cache != nullptr) run.cache.stores = pending.size();
-
-    auto executed = run_indexed_labeled(
-        pending.size(), opt.threads,
-        [&](usize j) {
-          const usize k = pending[j];
-          Point p = F::measure(jobs[k]);
-          const std::string blob = encode_point<F>(p);
-          if (cache != nullptr) cache->store(keys[k], blob);
-          if (journal != nullptr) journal->append(keys[k], blob);
-          return p;
-        },
-        [&](usize j) { return jobs[pending[j]].label; });
-    for (usize j = 0; j < pending.size(); ++j)
-      run.points[pending[j]] = std::move(executed[j]);
-
-    std::fprintf(stderr,
-                 "sweep: %zu job(s): %" PRIu64 " cache hit(s), %" PRIu64
-                 " journal hit(s), %" PRIu64 " stale, %" PRIu64
-                 " corrupt, %zu executed\n",
-                 n, run.cache.hits, run.cache.journal_hits, run.cache.stale,
-                 run.cache.corrupt, pending.size());
-    obs::Session* const os = obs::session();
-    if (os != nullptr && os->metrics_enabled()) {
-      auto& m = os->metrics().local();
-      m.add("sweep.cache_hits", run.cache.hits);
-      m.add("sweep.cache_misses", run.cache.misses);
-      m.add("sweep.cache_stale", run.cache.stale);
-      m.add("sweep.cache_corrupt", run.cache.corrupt);
-      m.add("sweep.cache_stores", run.cache.stores);
-      m.add("sweep.journal_hits", run.cache.journal_hits);
-      if (journal != nullptr)
-        m.add("sweep.journal_replayed", journal->replayed());
+    if (cache != nullptr) {
+      const SweepCache::Lookup hit = cache->lookup(keys[d]);
+      if (hit.status == SweepCache::Status::kHit) {
+        try {
+          points[d] = decode_point<F>(hit.blob);
+          ++run.cache.hits;
+          // The journal holds no decodable record of this key (that would
+          // have resolved it above), so mirror the hit: a later kill +
+          // resume replays it even if the cache has been pruned meanwhile,
+          // and a corrupt record is superseded.
+          if (journal != nullptr) journal->append(keys[d], hit.blob);
+          continue;
+        } catch (const SimError&) {
+          if (!counted) ++run.cache.corrupt;
+          counted = true;
+        }
+      } else if (hit.status == SweepCache::Status::kStale) {
+        if (!counted) ++run.cache.stale;
+        counted = true;
+      }
     }
-    return run;
+    if (!counted) ++run.cache.misses;
+    pending.push_back(d);
   }
+  if (cache != nullptr) run.cache.stores = pending.size();
+
+  auto executed = run_indexed_labeled(
+      pending.size(), opt.threads,
+      [&](usize j) {
+        const usize d = pending[j];
+        Point p = F::measure(jobs[first[d]]);
+        if (cache != nullptr || journal != nullptr) {
+          const std::string blob = encode_point<F>(p);
+          if (cache != nullptr) cache->store(keys[d], blob);
+          if (journal != nullptr) journal->append(keys[d], blob);
+        }
+        return p;
+      },
+      [&](usize j) { return jobs[first[pending[j]]].label; });
+  for (usize j = 0; j < pending.size(); ++j)
+    points[pending[j]] = std::move(executed[j]);
+  run.points.reserve(n);
+  for (usize k = 0; k < n; ++k) run.points.push_back(points[slot[k]]);
+
+  if (cache == nullptr && journal == nullptr) return run;
+  std::fprintf(stderr,
+               "sweep: %zu job(s), %zu distinct: %" PRIu64
+               " cache hit(s), %" PRIu64 " journal hit(s), %" PRIu64
+               " stale, %" PRIu64 " corrupt, %zu executed\n",
+               n, keys.size(), run.cache.hits, run.cache.journal_hits,
+               run.cache.stale, run.cache.corrupt, pending.size());
+  obs::Session* const os = obs::session();
+  if (os != nullptr && os->metrics_enabled()) {
+    auto& m = os->metrics().local();
+    m.add("sweep.cache_hits", run.cache.hits);
+    m.add("sweep.cache_misses", run.cache.misses);
+    m.add("sweep.cache_stale", run.cache.stale);
+    m.add("sweep.cache_corrupt", run.cache.corrupt);
+    m.add("sweep.cache_stores", run.cache.stores);
+    m.add("sweep.journal_hits", run.cache.journal_hits);
+    if (journal != nullptr)
+      m.add("sweep.journal_replayed", journal->replayed());
+  }
+  return run;
 }
 
 template <typename F>
@@ -314,18 +315,6 @@ std::vector<DjpegJob> djpeg_grid(
     }
   }
   return jobs;
-}
-
-std::vector<std::string> perf_sweep_specs(usize iters) {
-  std::vector<std::string> specs;
-  const std::string tail =
-      "?width=4&iters=" + std::to_string(iters) + "&secrets=1";
-  for (const workloads::SynthKind kind : workloads::all_synth_kinds())
-    specs.push_back(std::string("synthetic.") + workloads::synth_name(kind) +
-                    tail);
-  for (const workloads::ScenarioKind kind : workloads::all_scenario_kinds())
-    specs.push_back(std::string(workloads::scenario_name(kind)) + tail);
-  return specs;
 }
 
 std::vector<std::string> registry_audit_specs(usize iters) {
@@ -521,44 +510,6 @@ void LintFamily::json(JsonFields& out, const Job&, const Point& p) {
   out.u("audit_samples", p.audit.masks.size());
 }
 
-void PerfFamily::json(JsonFields& out, const Job&, const Point& pp) {
-  const WorkloadPoint& p = pp.point;
-  // Deterministic fields first (byte-identical across --threads/hosts)...
-  out.s("spec", p.spec);
-  out.u("results_ok", p.results_ok);
-  out.u("baseline_cycles", p.baseline_cycles);
-  out.u("sempe_cycles", p.sempe_cycles);
-  out.u("cte_cycles", p.cte_cycles);
-  out.u("baseline_instructions", p.baseline_instructions);
-  out.u("sempe_instructions", p.sempe_instructions);
-  out.u("cte_instructions", p.cte_instructions);
-  out.u("total_instructions", pp.simulated_instructions());
-  // ...then the wall-clock measurement (the only nondeterministic lines;
-  // strip_perf_timing removes exactly these).
-  out.f("wall_ms", pp.wall_seconds * 1e3);
-  out.f("simulated_mips", pp.simulated_mips());
-  out.f("ns_per_instr", pp.ns_per_instruction());
-}
-
-std::string strip_perf_timing(const std::string& json) {
-  static const char* const kTimingKeys[] = {"\"wall_ms\"", "\"simulated_mips\"",
-                                            "\"ns_per_instr\""};
-  std::string out;
-  out.reserve(json.size());
-  usize pos = 0;
-  while (pos < json.size()) {
-    usize eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size() - 1;
-    const std::string line = json.substr(pos, eol - pos + 1);
-    bool timing = false;
-    for (const char* key : kTimingKeys)
-      timing = timing || line.find(key) != std::string::npos;
-    if (!timing) out += line;
-    pos = eol + 1;
-  }
-  return out;
-}
-
 BatchCli parse_batch_cli(int& argc, char** argv) {
   BatchCli cli;
   // The flags that take a non-empty string value.
@@ -632,18 +583,6 @@ BatchCli parse_batch_cli(int& argc, char** argv) {
   for (int i = kept; i < argc; ++i) argv[i] = nullptr;
   argc = kept;
   return cli;
-}
-
-bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
-                           const char* what, int* exit_code) {
-  if (cli.ok && !cli.help && argc <= 1) return false;
-  if (!cli.ok)
-    std::fprintf(stderr, "bad argument: %s\n", cli.error.c_str());
-  else if (argc > 1)
-    std::fprintf(stderr, "unknown argument: %s\n", argv[1]);
-  print_batch_usage(argv[0], what);
-  *exit_code = (!cli.ok || argc > 1) ? 1 : 0;
-  return true;
 }
 
 std::FILE* report_stream(const BatchCli& cli) {
@@ -725,7 +664,7 @@ bool write_obs_outputs(obs::Session& session, const std::string& experiment,
 void print_batch_usage(const char* argv0, const char* what) {
   std::fprintf(stderr,
                "%s — %s\n"
-               "usage: %s [--threads=N] [--json[=FILE]]\n"
+               "usage: %s [EXPERIMENT...] [--threads=N] [--json[=FILE]]\n"
                "          [--trace-out=FILE] [--metrics-out=FILE] "
                "[--progress]\n"
                "          [--jobs=REGEX] [--shard=i/N] [--cache-dir=DIR] "
@@ -751,8 +690,10 @@ void print_batch_usage(const char* argv0, const char* what) {
                "  --journal=F      append each result to F as it retires;\n"
                "                   rerunning with the same F resumes a\n"
                "                   killed sweep\n"
-               "env: SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE scale the "
-               "workloads\n",
+               "env: SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE, "
+               "SEMPE_AUDIT_SAMPLES scale the workloads;\n"
+               "     SEMPE_STAT_SAMPLES, SEMPE_STAT_BUDGET turn on the "
+               "statistical audit tier\n",
                argv0, what, argv0);
 }
 

@@ -12,10 +12,12 @@
 // of the sweep-family table below (MicrobenchFamily ... TenantFamily): the
 // row names its Job and Point types, how a job is measured, its JSON
 // projection and its job key, and one generic run_sweep / sweep_json /
-// job_identity / codec path serves every row. Each bench_* main is a call
-// to bench_main<Family> with its job list and its report callback, so the
-// binaries share the parse -> observe -> sweep -> report -> emit skeleton
-// and the same CLI surface:
+// job_identity / codec path serves every row. A sweep resolves each
+// distinct job key once — from the journal, the cache, or by executing it
+// — and hands that point to every job sharing the key, which is sound
+// because the key covers every input a measurement reads (sim/job_key.h).
+// The sempe_bench binary (bench/sempe_bench.cpp) drives its experiment
+// table through this path with the CLI surface parsed here:
 //
 //   --threads=N      worker threads (default: all hardware threads)
 //   --json[=F]       emit machine-readable results to file F (or stdout)
@@ -29,10 +31,7 @@
 //   --journal=F      append-only result journal; rerun to resume a
 //                    killed sweep
 //
-// The timed perf family has no job key: it rejects --cache-dir and
-// --journal, so a wall clock is never replayed.
-//
-// The observability flags feed the src/obs/ session the mains install via
+// The observability flags feed the src/obs/ session the driver installs via
 // make_obs_session(); none of them perturb the deterministic --json
 // document (progress and the human report go to stderr, metrics and
 // traces to their own files).
@@ -50,7 +49,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <concepts>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -190,7 +188,7 @@ struct SweepOptions {
 template <typename Point>
 struct SweepRun {
   std::vector<Point> points;
-  CacheStats cache;  // how each job was resolved
+  CacheStats cache;  // how each distinct job key was resolved
 };
 
 // ---------------------------------------------------------------------------
@@ -199,11 +197,11 @@ struct SweepRun {
 // A row is a descriptor struct naming its Job and Point types, its family
 // name (the codec blob header and the job key's family field), the mode
 // list its points cover (the JSON meta header and the job key), how one
-// job is measured, its JSON projection, and — for the cacheable families
-// — its job-key text. Everything else is one generic function over the
-// row: run_sweep, sweep_json, spec_grid and bench_main here, job_identity
-// in sim/job_key.h, encode_point/decode_point in sim/sweep_codec.h. A new
-// family is one row plus an entry in SEMPE_SWEEP_FAMILIES.
+// job is measured, its JSON projection, and its job-key text. Everything
+// else is one generic function over the row: run_sweep, sweep_json and
+// spec_grid here, job_identity in sim/job_key.h, encode_point/decode_point
+// in sim/sweep_codec.h. A new family is one row plus an entry in
+// SEMPE_SWEEP_FAMILIES.
 
 struct MicrobenchJob {
   std::string label;  // e.g. "fibonacci/W=10" or "ablation/spm/64B"
@@ -245,7 +243,7 @@ struct TenantJob {
   security::AuditOptions opt{};
 };
 
-/// A cacheable family's job-key text (see sim/job_key.h).
+/// A family's job-key text (see sim/job_key.h).
 struct KeyText {
   std::string spec;     // canonical spec text
   std::string machine;  // result-affecting options, "k=v k=v" text
@@ -308,18 +306,6 @@ struct LintFamily {
   static void json(JsonFields& out, const Job& j, const Point& p);
 };
 
-/// The timed family of bench_perf. It has no key, so its points are never
-/// cached or journaled: a replayed wall clock would be a wrong
-/// measurement. run_sweep rejects --cache-dir and --journal for it.
-struct PerfFamily {
-  using Job = WorkloadJob;
-  using Point = PerfPoint;
-  static constexpr const char* kName = "perf";
-  static constexpr const char* kModes = "legacy,sempe,cte";
-  static Point measure(const Job& j) { return measure_perf(j.spec, j.opt); }
-  static void json(JsonFields& out, const Job& j, const Point& p);
-};
-
 struct TenantFamily {
   using Job = TenantJob;
   using Point = TenantPoint;
@@ -333,19 +319,14 @@ struct TenantFamily {
 /// The table: X(row) once per family.
 #define SEMPE_SWEEP_FAMILIES(X)                                        \
   X(MicrobenchFamily) X(DjpegFamily) X(WorkloadFamily) X(LeakageFamily) \
-  X(LintFamily) X(PerfFamily) X(TenantFamily)
+  X(LintFamily) X(TenantFamily)
 
-/// A family whose points may be replayed: it has a job key (and a codec
-/// field list in sim/sweep_codec.h).
-template <typename F>
-concept CachedFamily = requires(const typename F::Job& j) {
-  { F::key(j) } -> std::same_as<KeyText>;
-};
-
-/// Run a sweep: (for a cached family) journal and cache resolution of each
-/// job, then parallel execution of whatever is left, with write-back as
-/// each job retires. Throws SimError when asked to persist a family that
-/// is not cached.
+/// Run a sweep: resolve each distinct job key once, in first-occurrence
+/// order — from the journal, then the cache, and otherwise by parallel
+/// execution with write-back as each job retires — and copy the point to
+/// every job sharing the key. With neither a cache nor a journal every
+/// distinct key executes, and the sweep prints and exports no cache
+/// accounting.
 template <typename F>
 SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
                                       const SweepOptions& opt);
@@ -378,13 +359,8 @@ std::vector<DjpegJob> djpeg_grid(
     const std::vector<workloads::OutputFormat>& formats,
     const std::vector<usize>& pixel_sizes, usize scale);
 
-/// The representative registry specs bench_perf times: every synthetic
-/// kernel plus every crypto.*/ds.* scenario at the widest sweep setting
-/// (width 4, all secrets true — every mode executes every level).
-std::vector<std::string> perf_sweep_specs(usize iters);
-
-/// The specs bench_leakage and bench_lint audit: every registered
-/// workload except the attack.* ones (bench_tenants owns those) at width
+/// The specs the leakage and lint experiments audit: every registered
+/// workload except the attack.* ones (the tenants experiment owns those) at width
 /// 3, so the default 8 samples enumerate the whole 2^3 secret space, and
 /// djpeg — no settable secret vector — as one small smoke image.
 std::vector<std::string> registry_audit_specs(usize iters);
@@ -401,9 +377,7 @@ const std::vector<usize>& djpeg_sizes();
 // outputs — no wall-clock times, and the header's `threads` field is the
 // constant 0 ("thread-count invariant"; the actual worker count goes to
 // stderr) — so a sweep serializes to byte-identical text for any --threads
-// value. The one exception is the perf family, whose wall_ms,
-// simulated_mips and ns_per_instr lines are the measurement;
-// strip_perf_timing() removes exactly those lines.
+// value.
 
 inline constexpr int kResultSchemaVersion = 3;
 
@@ -413,11 +387,6 @@ template <typename F>
 std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
                        const SweepRun<typename F::Point>& run);
-
-/// Drop the wall-clock lines ("wall_ms", "simulated_mips",
-/// "ns_per_instr") from a perf document, leaving the deterministic fields
-/// for byte comparison across --threads values or hosts.
-std::string strip_perf_timing(const std::string& json);
 
 // ---------------------------------------------------------------------------
 // Shared bench CLI.
@@ -438,15 +407,9 @@ struct BatchCli {
 };
 
 /// Strip the shared bench flags out of argv, compacting argc.
-/// Anything left besides argv[0] is the caller's problem (the bench mains
-/// treat leftovers as a usage error).
+/// Anything left besides argv[0] is the caller's (sempe_bench reads the
+/// leftovers as experiment names).
 BatchCli parse_batch_cli(int& argc, char** argv);
-
-/// Handle --help and argument errors for a bench main: prints the
-/// diagnostic/usage and returns true with *exit_code set when main should
-/// return immediately.
-bool batch_cli_should_exit(const BatchCli& cli, int argc, char** argv,
-                           const char* what, int* exit_code);
 
 /// Apply --jobs=REGEX, then --shard=i/N. --jobs drops every job whose
 /// label does not match (std::regex_search, ECMAScript grammar); --shard
@@ -497,52 +460,7 @@ bool write_obs_outputs(obs::Session& session, const std::string& experiment,
                        const std::string& trace_path,
                        const std::string& metrics_path);
 
-/// Print the shared usage text for a bench binary.
+/// Print the shared usage text of the bench binary.
 void print_batch_usage(const char* argv0, const char* what);
-
-/// What a bench main's report callback sees of its sweep.
-template <typename F>
-struct BenchSweep {
-  const std::vector<typename F::Job>& jobs;  // after --jobs filtering
-  const SweepRun<typename F::Point>& run;
-  double seconds;                            // sweep wall time
-};
-
-/// The whole of a bench main: parse the shared CLI, install observability,
-/// apply --jobs, run the sweep, print the human report (`report(out,
-/// sweep)` returns false to fail the exit status) and the stderr summary,
-/// then write the observability outputs and the --json document.
-template <typename F, typename Report>
-int bench_main(int argc, char** argv, const char* experiment,
-               const char* what, std::vector<typename F::Job> jobs,
-               Report report) {
-  const BatchCli cli = parse_batch_cli(argc, argv);
-  int exit_code = 0;
-  if (batch_cli_should_exit(cli, argc, argv, what, &exit_code))
-    return exit_code;
-  auto obs_session = make_obs_session(cli);
-  apply_job_filter(jobs, cli);
-
-  const Stopwatch sweep_sw;
-  SweepRun<typename F::Point> run;
-  try {
-    run = run_sweep<F>(jobs, cli.sweep);
-  } catch (const SimError& e) {
-    obs::set_session(nullptr);
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  const BenchSweep<F> sweep{jobs, run, sweep_sw.elapsed_seconds()};
-  const bool ok = report(report_stream(cli), sweep);
-  std::fprintf(stderr, "swept %zu points in %.2fs on %zu thread(s)\n",
-               run.points.size(), sweep.seconds,
-               resolve_threads(cli.sweep.threads, run.points.size()));
-
-  if (!finish_obs_session(cli, experiment, std::move(obs_session))) return 1;
-  if (cli.want_json &&
-      !emit_json(cli, sweep_json<F>(experiment, jobs, run)))
-    return 1;
-  return ok ? 0 : 1;
-}
 
 }  // namespace sempe::sim

@@ -1,8 +1,10 @@
 #include "sim/experiment.h"
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
-#include "util/clock.h"
+#include "util/check.h"
 
 namespace sempe::sim {
 
@@ -260,15 +262,6 @@ LintPoint measure_lint(const std::string& spec,
   return pt;
 }
 
-PerfPoint measure_perf(const std::string& spec,
-                       const MicrobenchOptions& opt) {
-  PerfPoint pt;
-  const Stopwatch sw;
-  pt.point = measure_workload(spec, opt);
-  pt.wall_seconds = sw.elapsed_seconds();
-  return pt;
-}
-
 DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
                          usize scale, u64 image_seed) {
   DjpegPoint pt;
@@ -287,11 +280,21 @@ DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
   return pt;
 }
 
-usize env_usize(const char* name, usize fallback) {
+usize env_usize(const char* name, usize fallback, usize min) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const long long parsed = std::atoll(v);
-  return parsed > 0 ? static_cast<usize>(parsed) : fallback;
+  usize parsed = 0;
+  bool ok = true;
+  for (const char* c = v; *c != '\0' && ok; ++c) {
+    const usize digit = static_cast<usize>(*c - '0');
+    ok = *c >= '0' && *c <= '9' &&
+         parsed <= (std::numeric_limits<usize>::max() - digit) / 10;
+    parsed = parsed * 10 + digit;
+  }
+  if (!ok || parsed < min)
+    throw SimError(std::string(name) + "='" + v +
+                   "': expected a decimal integer >= " + std::to_string(min));
+  return parsed;
 }
 
 }  // namespace sempe::sim

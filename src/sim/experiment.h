@@ -230,41 +230,15 @@ struct LintPoint {
 LintPoint measure_lint(const std::string& spec,
                        const security::AuditOptions& opt = {});
 
-/// One workload point with host wall-clock attached: the throughput unit
-/// of the bench_perf harness. Everything inside `point` is deterministic
-/// simulation output; the wall/derived fields are the only
-/// machine-dependent quantities the perf JSON carries.
-struct PerfPoint {
-  WorkloadPoint point;
-  double wall_seconds = 0.0;  // host time for the whole mode matrix
-
-  /// Simulated instructions retired across every executed mode.
-  u64 simulated_instructions() const {
-    return point.baseline_instructions + point.sempe_instructions +
-           point.cte_instructions;
-  }
-  /// Millions of simulated instructions per host second.
-  double simulated_mips() const {
-    return wall_seconds <= 0.0
-               ? 0.0
-               : static_cast<double>(simulated_instructions()) /
-                     (wall_seconds * 1e6);
-  }
-  /// Host nanoseconds per simulated instruction.
-  double ns_per_instruction() const {
-    const u64 n = simulated_instructions();
-    return n == 0 ? 0.0 : wall_seconds * 1e9 / static_cast<double>(n);
-  }
-};
-
-/// measure_workload(spec, opt) wrapped in a wall-clock measurement.
-PerfPoint measure_perf(const std::string& spec,
-                       const MicrobenchOptions& opt = {});
-
-/// Benchmark scaling knobs from the environment (so `make bench` stays
-/// fast by default but full-size runs are one env var away):
-///   SEMPE_BENCH_ITERS  — microbenchmark iterations (default 60)
+/// Benchmark scaling knobs from the environment (so the default bench run
+/// stays fast but full-size runs are one env var away), e.g.
+///   SEMPE_BENCH_ITERS  — workload iterations (default per experiment:
+///                        20 for the microbenchmarks, 2-4 for the others)
 ///   SEMPE_DJPEG_SCALE  — djpeg pixel divisor (default 8; 1 = paper size)
-usize env_usize(const char* name, usize fallback);
+/// Unset or empty means `fallback`. Any other value must be a plain
+/// decimal integer >= `min` that fits a usize; anything else throws
+/// SimError naming the variable and the value, so a typo never silently
+/// runs the default configuration.
+usize env_usize(const char* name, usize fallback, usize min = 1);
 
 }  // namespace sempe::sim

@@ -1,11 +1,12 @@
 // Content-address job identity for the sweep orchestration subsystem.
 //
-// Every job of a cacheable sweep family (sim/batch_runner.h) reduces to a
+// Every job of a sweep family (sim/batch_runner.h) reduces to a
 // JobIdentity: the canonical workload spec, the result-affecting machine
 // configuration, the mode matrix the family executes, the result schema
 // version, and the build's code fingerprint (util/fingerprint.h). Its FNV
 // hash is the content-address key under which the result is cached
-// (sim/sweep_cache.h) and journaled.
+// (sim/sweep_cache.h) and journaled, and under which a sweep runs each
+// distinct job once.
 //
 // What the key deliberately EXCLUDES is as load-bearing as what it
 // includes:
@@ -50,11 +51,11 @@ struct JobIdentity {
   std::string key() const;
 };
 
-/// The identity of one job of a cacheable family: the row's key text
+/// The identity of one job of a family: the row's key text
 /// under its family name and mode list. `fingerprint` is normally
 /// sempe::code_fingerprint(); tests substitute synthetic values to prove
 /// stale-entry behavior.
-template <CachedFamily F>
+template <typename F>
 JobIdentity job_identity(const typename F::Job& job,
                          const std::string& fingerprint) {
   KeyText text = F::key(job);

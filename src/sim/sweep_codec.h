@@ -1,6 +1,6 @@
 // Point (de)serialization for the sweep cache/journal (sim/sweep_cache.h).
 //
-// Every cacheable family's point encodes to a line-oriented text blob and
+// Every family's point encodes to a line-oriented text blob and
 // decodes back to an *exactly* equal value — u64s in decimal, doubles in
 // hexfloat (%a, lossless round-trip), strings escaped — because the whole
 // cache contract rests on it: a sweep served from cache or journal must
@@ -271,14 +271,14 @@ void fields(auto& v, Of<LintPoint> auto& p) {
   v.list("warnings.", p.warnings);
 }
 
-template <CachedFamily F>
+template <typename F>
 std::string encode_point(const typename F::Point& p) {
   PointWriter w(F::kName);
   fields(w, p);
   return w.str();
 }
 
-template <CachedFamily F>
+template <typename F>
 typename F::Point decode_point(const std::string& blob) {
   PointReader r(F::kName, blob);
   typename F::Point p;

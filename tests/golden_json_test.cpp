@@ -215,25 +215,18 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
 
 constexpr const char* kGoldenFingerprint = "golden-fingerprint";
 
-/// The golden record of one family's small sweep: the full document and
-/// (for cached families) each point's blob and each job's key text.
-/// `strip` post-processes the document.
+/// The golden record of one family's small sweep: the full document, each
+/// point's blob and each job's key text.
 template <typename F>
-std::string orchestration_record(const std::vector<typename F::Job>& jobs,
-                                 std::string (*strip)(const std::string&) =
-                                     nullptr) {
+std::string orchestration_record(const std::vector<typename F::Job>& jobs) {
   const auto run = run_sweep<F>(jobs, on_threads(2));
-  std::string json = sweep_json<F>("orch", jobs, run);
-  if (strip != nullptr) json = strip(json);
-  std::string out = "== json\n" + json;
-  if constexpr (CachedFamily<F>) {
-    for (usize i = 0; i < run.points.size(); ++i)
-      out += "== blob " + std::to_string(i) + "\n" +
-             encode_point<F>(run.points[i]);
-    for (usize i = 0; i < jobs.size(); ++i)
-      out += "== key " + std::to_string(i) + "\n" +
-             job_identity<F>(jobs[i], kGoldenFingerprint).canonical_text();
-  }
+  std::string out = "== json\n" + sweep_json<F>("orch", jobs, run);
+  for (usize i = 0; i < run.points.size(); ++i)
+    out += "== blob " + std::to_string(i) + "\n" +
+           encode_point<F>(run.points[i]);
+  for (usize i = 0; i < jobs.size(); ++i)
+    out += "== key " + std::to_string(i) + "\n" +
+           job_identity<F>(jobs[i], kGoldenFingerprint).canonical_text();
   return out;
 }
 
@@ -281,15 +274,6 @@ TEST(GoldenJson, OrchestrationLintValuesArePinned) {
   check_golden("orch_lint.golden",
                orchestration_record<LintFamily>(spec_grid<LintFamily>(
                    two_synthetic_specs(), two_samples())));
-}
-
-TEST(GoldenJson, OrchestrationPerfValuesArePinned) {
-  // Perf points are timed: the document is pinned without its
-  // wall-clock lines, and the family has no blob or key to pin.
-  check_golden("orch_perf.golden",
-               orchestration_record<PerfFamily>(
-                   spec_grid<PerfFamily>(two_synthetic_specs(), {}),
-                   &strip_perf_timing));
 }
 
 TEST(GoldenJson, OrchestrationTenantValuesArePinned) {

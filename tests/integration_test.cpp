@@ -3,8 +3,12 @@
 // machine description is consistent.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "sim/experiment.h"
 #include "sim/machine_config.h"
+#include "util/check.h"
 
 namespace sempe::sim {
 namespace {
@@ -106,6 +110,31 @@ TEST(MachineConfig, Table2Values) {
 
 TEST(EnvKnobs, ParseAndFallback) {
   EXPECT_EQ(env_usize("SEMPE_SURELY_UNSET_VAR", 17), 17u);
+  constexpr const char* kVar = "SEMPE_ENV_KNOB_TEST";
+  const auto with = [&](const char* value, usize min) {
+    ::setenv(kVar, value, 1);
+    return env_usize(kVar, 17, min);
+  };
+  EXPECT_EQ(with("", 1), 17u);  // set but empty = unset
+  EXPECT_EQ(with("2", 1), 2u);
+  EXPECT_EQ(with("0", 0), 0u);  // 0 where 0 means off
+  EXPECT_EQ(with("18446744073709551615", 0), 18446744073709551615u);
+  // Anything else is an error naming the variable and the value, never a
+  // silent fallback to the default run.
+  for (const char* bad : {"2x", "abc", "-3", "+3", " 3", "3 ", "0x10",
+                          "18446744073709551616", "99999999999999999999"}) {
+    try {
+      with(bad, 0);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const SimError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(kVar), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos)
+          << msg;
+    }
+  }
+  EXPECT_THROW(with("0", 1), SimError);  // iterations, scale, samples
+  ::unsetenv(kVar);
 }
 
 }  // namespace
