@@ -19,8 +19,9 @@
 // --audit runs as a one-job sweep through sim/batch_runner.h, so it also
 // accepts the shared orchestration flags — --json[=F], --cache-dir=D,
 // --journal=F, --jobs=REGEX, --shard=i/N, --threads=N — with exactly the
-// bench_leakage semantics (a warm cache replays the stored audit; --shard
-// or --jobs may leave the single job to another invocation). The other
+// semantics of `sempe_bench leakage` (a warm cache replays the stored
+// audit; --shard or --jobs may leave the single job to another
+// invocation). The other
 // modes run one simulation directly and reject those flags.
 //
 // FILE.s is assembled (see isa/assembler.h for the grammar), statically
@@ -173,8 +174,8 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
   bool ok = true;
   for (const auto& pt : run.points) {
     std::printf("%s", pt.audit.to_string().c_str());
-    // Gate on the results of EVERY mode, like bench_leakage: a legacy/CTE
-    // run that went functionally wrong must not exit clean.
+    // Gate on the results of EVERY mode, like `sempe_bench leakage`: a
+    // legacy/CTE run that went functionally wrong must not exit clean.
     const bool results_ok = pt.results_ok();
     const bool point_ok = pt.sempe_closed() && results_ok;
     std::printf("verdict: %s\n",
@@ -197,8 +198,8 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
 int run_lint(const std::string& spec_text) {
   const security::WorkloadLint lint = security::lint_workload(spec_text);
   std::printf("%s\n", lint.to_string().c_str());
-  // Gate like bench_lint's per-workload half: the CTE binary must lint
-  // fully clean, and a secret-bearing natural binary the legacy policy
+  // Gate like the lint experiment's per-workload half: the CTE binary must
+  // lint fully clean, and a secret-bearing natural binary the legacy policy
   // calls clean would mean the lint lost the taint.
   bool ok = true;
   if (lint.has_cte && !lint.cte.clean()) ok = false;

@@ -641,8 +641,8 @@ std::vector<WorkloadLint> lint_registry(usize width, usize iters) {
   std::vector<WorkloadLint> out;
   for (const std::string& name :
        workloads::WorkloadRegistry::instance().names()) {
-    // Mirror bench_leakage's sweep: djpeg has no settable secret vector, so
-    // the harness keys do not apply.
+    // Mirror the leakage experiment's sweep: djpeg has no settable secret
+    // vector, so the harness keys do not apply.
     const std::string spec =
         name == "djpeg" ? "djpeg?pixels=4096&scale=16"
                         : name + "?width=" + std::to_string(width) +

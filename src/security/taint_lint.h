@@ -129,7 +129,7 @@ WorkloadLint lint_workload(const std::string& spec_text);
 
 /// Lint every registered workload at its bench defaults (width/iters
 /// applied to harnessed generators, djpeg taken as-is). The registry-wide
-/// sweep bench_lint and the pinned-findings tests drive.
+/// sweep sempe_bench lint and the pinned-findings tests drive.
 std::vector<WorkloadLint> lint_registry(usize width, usize iters);
 
 }  // namespace sempe::security

@@ -1,5 +1,5 @@
 // The Table II baseline machine, plus a human-readable description used by
-// bench_table2 to echo the configuration the way the paper reports it.
+// sempe_bench table2 to echo the configuration the way the paper reports it.
 #pragma once
 
 #include <string>

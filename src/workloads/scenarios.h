@@ -37,7 +37,7 @@ enum class ScenarioKind : u8 {
 
 inline constexpr usize kNumScenarioKinds = 3;
 
-/// All kinds, in declaration order (sweep order for bench_scenarios).
+/// All kinds, in declaration order (sweep order for sempe_bench scenarios).
 const std::vector<ScenarioKind>& all_scenario_kinds();
 
 /// Full registry name ("crypto.aes", "crypto.modexp", "ds.hash_probe").
@@ -62,7 +62,7 @@ usize scenario_default_size(ScenarioKind k);
 /// parameters.
 KernelSpec scenario_kernel_spec(const ScenarioConfig& cfg);
 
-/// The bench_scenarios sweep: every scenario family x width {1,4} x
+/// The sempe_bench scenarios sweep: every scenario family x width {1,4} x
 /// secrets {all-false, all-true}, at `iters` harness iterations. Shared
 /// with the golden-file test so the pinned JSON covers the real sweep.
 std::vector<std::string> scenario_sweep_specs(usize iters);

@@ -37,7 +37,7 @@ enum class SynthKind : u8 {
 
 inline constexpr usize kNumSynthKinds = 6;
 
-/// All kinds, in declaration order (sweep order for bench_synthetic).
+/// All kinds, in declaration order (sweep order for sempe_bench synthetic).
 const std::vector<SynthKind>& all_synth_kinds();
 
 /// Registry-facing kernel name ("ptr_chase", "stream", ...). CHECK-fails

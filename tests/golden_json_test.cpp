@@ -4,7 +4,7 @@
 // pinned with the (machine-dependent, churn-prone) values blanked out.
 // Schema drift — a renamed field, a dropped key, a reordered header —
 // fails one of these tests instead of silently breaking downstream
-// parsers of bench_synthetic/bench_leakage/bench_scenarios --json.
+// parsers of the synthetic/leakage/scenarios experiments' --json.
 //
 // The Orchestration* cases pin values too: per job family, the full
 // --json document, every point's encoded cache blob, and every job's key
@@ -169,7 +169,7 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
 }
 
 TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
-  // The exact sweep bench_scenarios fans out (workloads/scenarios.h), so
+  // The exact sweep sempe_bench scenarios fans out (workloads/scenarios.h), so
   // the golden file covers the real sweep and the --threads byte-identity
   // guarantee is asserted here, not just in CI.
   const auto jobs =
