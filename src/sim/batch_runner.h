@@ -360,9 +360,10 @@ std::vector<DjpegJob> djpeg_grid(
     const std::vector<usize>& pixel_sizes, usize scale);
 
 /// The specs the leakage and lint experiments audit: every registered
-/// workload except the attack.* ones (the tenants experiment owns those) at width
-/// 3, so the default 8 samples enumerate the whole 2^3 secret space, and
-/// djpeg — no settable secret vector — as one small smoke image.
+/// workload except the attack.* ones (the tenants experiment owns those)
+/// at width 3, so the default 8 samples enumerate the whole 2^3 secret
+/// space, and djpeg — no settable secret vector — as one small smoke
+/// image.
 std::vector<std::string> registry_audit_specs(usize iters);
 
 /// The four Fig. 7 microbenchmark kinds.
