@@ -15,6 +15,7 @@
 // SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE (1 = paper-sized images),
 // SEMPE_AUDIT_SAMPLES, SEMPE_STAT_SAMPLES and SEMPE_STAT_BUDGET.
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <functional>
 #include <iterator>
@@ -24,6 +25,7 @@
 
 #include "sim/batch_runner.h"
 #include "sim/machine_config.h"
+#include "workloads/registry.h"
 #include "workloads/scenarios.h"
 #include "workloads/synthetic.h"
 
@@ -43,9 +45,10 @@ struct Sweep {
   std::vector<typename F::Job> jobs;     // after --jobs / --shard
   sim::SweepRun<typename F::Point> run;  // run.points[i] is jobs[i]'s
 };
-using Pools = std::tuple<Sweep<MicrobenchFamily>, Sweep<sim::DjpegFamily>,
-                         Sweep<sim::WorkloadFamily>, Sweep<sim::LeakageFamily>,
-                         Sweep<sim::LintFamily>, Sweep<sim::TenantFamily>>;
+using WorkloadSweep = Sweep<sim::WorkloadFamily>;
+using Pools = std::tuple<Sweep<MicrobenchFamily>, WorkloadSweep,
+                         Sweep<sim::LeakageFamily>, Sweep<sim::LintFamily>,
+                         Sweep<sim::TenantFamily>>;
 
 /// A queued row's second half, run after the sweeps: print the report,
 /// append the --json document to `*json` (if non-null), return the gate.
@@ -80,6 +83,23 @@ Experiment row(const char* name, const char* title,
           }};
 }
 
+// The grids of the paper's figures: the four Fig. 7 microbenchmark kinds,
+// Fig. 10's nesting depths and the four djpeg image sizes (pixels) of
+// Figs. 8 and 9.
+const std::vector<Kind> kKinds = {Kind::kFibonacci, Kind::kOnes,
+                                  Kind::kQuicksort, Kind::kQueens};
+const std::vector<usize> kFig10Widths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+const std::vector<usize> kDjpegSizes = {256 * 1024, 512 * 1024, 1024 * 1024,
+                                        2048 * 1024};
+
+/// A point whose results diverge from the host mirror prints the mismatch
+/// and fails its row.
+bool results_gate(std::FILE* out, const sim::WorkloadPoint& pt) {
+  if (!pt.results_ok)
+    std::fprintf(out, "  !! %s\n", pt.mismatch_summary().c_str());
+  return pt.results_ok;
+}
+
 // Tables I and II.
 
 MicrobenchOptions microbench_options() {
@@ -92,7 +112,7 @@ MicrobenchOptions microbench_options() {
 // (W = 10), as Table I cites the microbenchmark worst case; the other
 // systems' rows are their reported overheads.
 std::vector<MicrobenchJob> table1_jobs() {
-  return sim::microbench_grid(sim::all_kinds(), {10}, microbench_options());
+  return sim::microbench_grid(kKinds, {10}, microbench_options());
 }
 
 bool table1_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
@@ -143,47 +163,73 @@ bool table2_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
   return true;
 }
 
-// Figures 8 and 9: djpeg per output format and image size.
+// Figures 8 and 9: djpeg per output format and image size, registry
+// workload points whose decoded checksum is checked in both modes.
 
-std::vector<sim::DjpegJob> djpeg_jobs() {
-  using workloads::OutputFormat;
-  return sim::djpeg_grid(
-      {OutputFormat::kPpm, OutputFormat::kGif, OutputFormat::kBmp},
-      sim::djpeg_sizes(), sim::env_usize("SEMPE_DJPEG_SCALE", 8));
+/// Format names print upper-case ("PPM"), as in the paper's figures.
+std::string upper(std::string s) {
+  for (char& c : s)
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  return s;
+}
+
+std::vector<sim::WorkloadJob> djpeg_jobs() {
+  const std::string scale =
+      std::to_string(sim::env_usize("SEMPE_DJPEG_SCALE", 8));
+  std::vector<sim::WorkloadJob> jobs;
+  for (const std::string format : {"ppm", "gif", "bmp"})
+    for (const usize px : kDjpegSizes)
+      jobs.push_back({upper(format) + "/" + std::to_string(px / 1024) + "k",
+                      "djpeg?format=" + format + "&pixels=" +
+                          std::to_string(px) + "&scale=" + scale,
+                      {}});
+  return jobs;
+}
+
+/// Open a FigN line with the point's format and image size, read from its
+/// canonical spec.
+void djpeg_cell(std::FILE* out, const char* fig,
+                const sim::WorkloadPoint& pt) {
+  const auto spec = workloads::WorkloadSpec::parse(pt.spec);
+  std::fprintf(out, "%s  %-4s %5zuk  ", fig,
+               upper(spec.get("format", "")).c_str(),
+               static_cast<usize>(spec.get_u64("pixels", 0) / 1024));
 }
 
 // Paper shape: ~31-87% overhead, PPM > GIF > BMP, flat across sizes.
-bool fig8_report(std::FILE* out, const Sweep<sim::DjpegFamily>& sweep) {
-  for (const auto& pt : sweep.run.points)
-    std::fprintf(out, "Fig8  %-4s %5zuk  overhead = %5.1f%%\n",
-                 workloads::format_name(pt.format), pt.pixels / 1024,
-                 pt.overhead() * 100.0);
-  return true;
+bool fig8_report(std::FILE* out, const WorkloadSweep& sweep) {
+  bool all_ok = true;
+  for (const auto& pt : sweep.run.points) {
+    djpeg_cell(out, "Fig8", pt);
+    std::fprintf(out, "overhead = %5.1f%%\n",
+                 (pt.sempe_slowdown() - 1.0) * 100.0);
+    all_ok = results_gate(out, pt) && all_ok;
+  }
+  return all_ok;
 }
 
 // Paper shape: IL1 low; DL1 low, SeMPE close to baseline; L2 highest.
-bool fig9_report(std::FILE* out, const Sweep<sim::DjpegFamily>& sweep) {
-  for (const auto& pt : sweep.run.points)
+bool fig9_report(std::FILE* out, const WorkloadSweep& sweep) {
+  bool all_ok = true;
+  for (const auto& pt : sweep.run.points) {
+    const pipeline::PipelineStats& b = pt.baseline_stats;
+    const pipeline::PipelineStats& s = pt.sempe_stats;
+    djpeg_cell(out, "Fig9", pt);
     std::fprintf(out,
-                 "Fig9  %-4s %5zuk  IL1 %5.2f%%|%5.2f%%  DL1 %5.2f%%|%5.2f%%  "
+                 "IL1 %5.2f%%|%5.2f%%  DL1 %5.2f%%|%5.2f%%  "
                  "L2 %5.2f%%|%5.2f%%   (baseline|SeMPE)\n",
-                 workloads::format_name(pt.format), pt.pixels / 1024,
-                 pt.baseline.il1_miss_rate() * 100,
-                 pt.sempe.il1_miss_rate() * 100,
-                 pt.baseline.dl1_miss_rate() * 100,
-                 pt.sempe.dl1_miss_rate() * 100,
-                 pt.baseline.l2_miss_rate() * 100,
-                 pt.sempe.l2_miss_rate() * 100);
-  return true;
+                 b.il1_miss_rate() * 100, s.il1_miss_rate() * 100,
+                 b.dl1_miss_rate() * 100, s.dl1_miss_rate() * 100,
+                 b.l2_miss_rate() * 100, s.l2_miss_rate() * 100);
+    all_ok = results_gate(out, pt) && all_ok;
+  }
+  return all_ok;
 }
 
 // Figure 10: the microbenchmarks over nesting depth W.
 
-const std::vector<usize> kFig10Widths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-
 std::vector<MicrobenchJob> fig10_jobs() {
-  return sim::microbench_grid(sim::all_kinds(), kFig10Widths,
-                              microbench_options());
+  return sim::microbench_grid(kKinds, kFig10Widths, microbench_options());
 }
 
 // Fig. 10a, slowdown per kernel. Paper shape: SeMPE ~ W+1 (8.4-10.6x at
@@ -336,15 +382,13 @@ std::vector<sim::WorkloadJob> scenarios_jobs() {
 }
 
 bool workload_report(std::FILE* out, const char* tag,
-                     const Sweep<sim::WorkloadFamily>& sweep) {
+                     const WorkloadSweep& sweep) {
   bool all_ok = true;
   for (const auto& pt : sweep.run.points) {
-    all_ok = all_ok && pt.results_ok;
     std::fprintf(out, "%s  %-48s  SeMPE %6.2fx   CTE %7.2fx   %s\n", tag,
                  pt.spec.c_str(), pt.sempe_slowdown(), pt.cte_slowdown(),
                  pt.results_ok ? "ok" : "RESULTS MISMATCH");
-    if (!pt.results_ok)
-      std::fprintf(out, "  !! %s\n", pt.mismatch_summary().c_str());
+    all_ok = results_gate(out, pt) && all_ok;
   }
   return all_ok;
 }
@@ -478,17 +522,15 @@ bool tenants_report(std::FILE* out, const Sweep<sim::TenantFamily>& sweep) {
 
 // The experiment table, in run order.
 
-using WorkloadSweep = Sweep<sim::WorkloadFamily>;
-
 const Experiment kExperiments[] = {
     row<MicrobenchFamily>("table1", "Table I: approaches to eliminate SDBCB",
                           table1_jobs, table1_report),
     row<MicrobenchFamily>("table2", "Table II: baseline machine model",
                           table2_jobs, table2_report),
-    row<sim::DjpegFamily>("fig8", "Figure 8: djpeg overhead by format/size",
-                          djpeg_jobs, fig8_report),
-    row<sim::DjpegFamily>("fig9", "Figure 9: djpeg cache miss rates",
-                          djpeg_jobs, fig9_report),
+    row<sim::WorkloadFamily>("fig8", "Figure 8: djpeg overhead by format/size",
+                             djpeg_jobs, fig8_report),
+    row<sim::WorkloadFamily>("fig9", "Figure 9: djpeg cache miss rates",
+                             djpeg_jobs, fig9_report),
     row<MicrobenchFamily>("fig10a", "Figure 10a: slowdown vs nesting depth",
                           fig10_jobs, fig10a_report),
     row<MicrobenchFamily>("fig10b", "Figure 10b: slowdown over the ideal",

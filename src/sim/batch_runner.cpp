@@ -298,25 +298,6 @@ std::vector<MicrobenchJob> microbench_grid(
   return jobs;
 }
 
-std::vector<DjpegJob> djpeg_grid(
-    const std::vector<workloads::OutputFormat>& formats,
-    const std::vector<usize>& pixel_sizes, usize scale) {
-  std::vector<DjpegJob> jobs;
-  jobs.reserve(formats.size() * pixel_sizes.size());
-  for (const workloads::OutputFormat fmt : formats) {
-    for (const usize px : pixel_sizes) {
-      DjpegJob j;
-      j.label = std::string(workloads::format_name(fmt)) + "/" +
-                std::to_string(px / 1024) + "k";
-      j.format = fmt;
-      j.pixels = px;
-      j.scale = scale;
-      jobs.push_back(std::move(j));
-    }
-  }
-  return jobs;
-}
-
 std::vector<std::string> registry_audit_specs(usize iters) {
   std::vector<std::string> specs;
   for (const std::string& name :
@@ -327,19 +308,6 @@ std::vector<std::string> registry_audit_specs(usize iters) {
                         : name + "?width=3&iters=" + std::to_string(iters));
   }
   return specs;
-}
-
-const std::vector<workloads::Kind>& all_kinds() {
-  static const std::vector<workloads::Kind> kinds = {
-      workloads::Kind::kFibonacci, workloads::Kind::kOnes,
-      workloads::Kind::kQuicksort, workloads::Kind::kQueens};
-  return kinds;
-}
-
-const std::vector<usize>& djpeg_sizes() {
-  static const std::vector<usize> sizes = {256 * 1024, 512 * 1024, 1024 * 1024,
-                                           2048 * 1024};
-  return sizes;
 }
 
 // ---------------------------------------------------------------------------
@@ -362,22 +330,6 @@ void MicrobenchFamily::json(JsonFields& out, const Job&, const Point& p) {
   out.f("sempe_vs_ideal_standalone", p.sempe_vs_ideal_standalone());
 }
 
-void DjpegFamily::json(JsonFields& out, const Job&, const Point& p) {
-  out.s("format", workloads::format_name(p.format));
-  out.u("pixels", p.pixels);
-  out.u("baseline_cycles", p.baseline.cycles);
-  out.u("sempe_cycles", p.sempe.cycles);
-  out.u("baseline_instructions", p.baseline.instructions);
-  out.u("sempe_instructions", p.sempe.instructions);
-  out.f("overhead", p.overhead());
-  out.f("il1_miss_baseline", p.baseline.il1_miss_rate());
-  out.f("il1_miss_sempe", p.sempe.il1_miss_rate());
-  out.f("dl1_miss_baseline", p.baseline.dl1_miss_rate());
-  out.f("dl1_miss_sempe", p.sempe.dl1_miss_rate());
-  out.f("l2_miss_baseline", p.baseline.l2_miss_rate());
-  out.f("l2_miss_sempe", p.sempe.l2_miss_rate());
-}
-
 void WorkloadFamily::json(JsonFields& out, const Job&, const Point& p) {
   out.s("spec", p.spec);
   out.u("has_cte", p.has_cte);
@@ -396,6 +348,13 @@ void WorkloadFamily::json(JsonFields& out, const Job&, const Point& p) {
   out.u("cte_instructions", p.cte_instructions);
   out.f("sempe_slowdown", p.sempe_slowdown());
   out.f("cte_slowdown", p.cte_slowdown());
+  // Fig. 9's cache miss rates.
+  out.f("il1_miss_baseline", p.baseline_stats.il1_miss_rate());
+  out.f("il1_miss_sempe", p.sempe_stats.il1_miss_rate());
+  out.f("dl1_miss_baseline", p.baseline_stats.dl1_miss_rate());
+  out.f("dl1_miss_sempe", p.sempe_stats.dl1_miss_rate());
+  out.f("l2_miss_baseline", p.baseline_stats.l2_miss_rate());
+  out.f("l2_miss_sempe", p.sempe_stats.l2_miss_rate());
 }
 
 void LeakageFamily::json(JsonFields& out, const Job&, const Point& p) {

@@ -9,13 +9,16 @@
 // it — byte-identical regardless of thread count.
 //
 // Every sweep is a list of jobs of one family, and every family is one row
-// of the sweep-family table below (MicrobenchFamily ... TenantFamily): the
-// row names its Job and Point types, how a job is measured, its JSON
-// projection and its job key, and one generic run_sweep / sweep_json /
-// job_identity / codec path serves every row. A sweep resolves each
-// distinct job key once — from the journal, the cache, or by executing it
-// — and hands that point to every job sharing the key, which is sound
-// because the key covers every input a measurement reads (sim/job_key.h).
+// of the sweep-family table below (microbench, workload, leakage, lint,
+// tenant): the row names its Job and Point types, how a job is measured,
+// its JSON projection and its job key, and one generic run_sweep /
+// sweep_json / job_identity / codec path serves every row. Registry specs
+// share the workload row, Figs. 8/9's djpeg points among them, so every
+// such run has its results checked against the host mirror. A sweep
+// resolves each distinct job key once — from the journal, the cache, or by
+// executing it — and hands that point to every job sharing the key, which
+// is sound because the key covers every input a measurement reads
+// (sim/job_key.h).
 // The sempe_bench binary (bench/sempe_bench.cpp) drives its experiment
 // table through this path with the CLI surface parsed here:
 //
@@ -210,14 +213,6 @@ struct MicrobenchJob {
   MicrobenchOptions opt{};
 };
 
-struct DjpegJob {
-  std::string label;  // e.g. "ppm/256k"
-  workloads::OutputFormat format{};
-  usize pixels = 0;
-  usize scale = 8;
-  u64 image_seed = 1;
-};
-
 /// A registry-resolved workload spec (see workloads/registry.h) plus the
 /// options its measurement reads: MicrobenchOptions machine knobs for the
 /// timing families, security::AuditOptions for the audit families.
@@ -259,18 +254,6 @@ struct MicrobenchFamily {
   static constexpr const char* kModes = "legacy,sempe,cte,ideal";
   static Point measure(const Job& j) {
     return measure_microbench(j.kind, j.width, j.opt);
-  }
-  static KeyText key(const Job& j);
-  static void json(JsonFields& out, const Job& j, const Point& p);
-};
-
-struct DjpegFamily {
-  using Job = DjpegJob;
-  using Point = DjpegPoint;
-  static constexpr const char* kName = "djpeg";
-  static constexpr const char* kModes = "legacy,sempe";
-  static Point measure(const Job& j) {
-    return measure_djpeg(j.format, j.pixels, j.scale, j.image_seed);
   }
   static KeyText key(const Job& j);
   static void json(JsonFields& out, const Job& j, const Point& p);
@@ -318,8 +301,8 @@ struct TenantFamily {
 
 /// The table: X(row) once per family.
 #define SEMPE_SWEEP_FAMILIES(X)                                        \
-  X(MicrobenchFamily) X(DjpegFamily) X(WorkloadFamily) X(LeakageFamily) \
-  X(LintFamily) X(TenantFamily)
+  X(MicrobenchFamily) X(WorkloadFamily) X(LeakageFamily) X(LintFamily) \
+  X(TenantFamily)
 
 /// Run a sweep: resolve each distinct job key once, in first-occurrence
 /// order — from the journal, then the cache, and otherwise by parallel
@@ -355,9 +338,6 @@ inline constexpr auto& tenant_grid = spec_grid<TenantFamily>;
 std::vector<MicrobenchJob> microbench_grid(
     const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
     const MicrobenchOptions& opt);
-std::vector<DjpegJob> djpeg_grid(
-    const std::vector<workloads::OutputFormat>& formats,
-    const std::vector<usize>& pixel_sizes, usize scale);
 
 /// The specs the leakage and lint experiments audit: every registered
 /// workload except the attack.* ones (the tenants experiment owns those)
@@ -365,11 +345,6 @@ std::vector<DjpegJob> djpeg_grid(
 /// space, and djpeg — no settable secret vector — as one small smoke
 /// image.
 std::vector<std::string> registry_audit_specs(usize iters);
-
-/// The four Fig. 7 microbenchmark kinds.
-const std::vector<workloads::Kind>& all_kinds();
-/// The four djpeg image sizes (pixels) of Figs. 8 and 9.
-const std::vector<usize>& djpeg_sizes();
 
 // ---------------------------------------------------------------------------
 // Machine-readable results. Every document opens with a `meta` header
@@ -380,7 +355,7 @@ const std::vector<usize>& djpeg_sizes();
 // stderr) — so a sweep serializes to byte-identical text for any --threads
 // value.
 
-inline constexpr int kResultSchemaVersion = 3;
+inline constexpr int kResultSchemaVersion = 4;
 
 /// The --json document of a sweep: `run.points[i]` is the point of
 /// `jobs[i]`.

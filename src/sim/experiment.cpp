@@ -15,7 +15,7 @@ using workloads::Variant;
 namespace {
 
 RunResult run_built(const isa::Program& program, cpu::ExecMode mode,
-                    const MicrobenchOptions& opt = {}, Addr probe_addr = 0,
+                    const MicrobenchOptions& opt, Addr probe_addr = 0,
                     usize probe_words = 0) {
   RunConfig rc;
   rc.core.mode = mode;
@@ -136,14 +136,12 @@ WorkloadPoint measure_workload(const std::string& spec,
 
   {
     const RunResult r = timed(secure, cpu::ExecMode::kLegacy);
-    pt.baseline_cycles = r.cycles();
-    pt.baseline_instructions = r.instructions;
+    pt.baseline_stats = r.stats;
     checked("legacy", r.probed, secure.expected_results);
   }
   {
     const RunResult r = timed(secure, cpu::ExecMode::kSempe);
-    pt.sempe_cycles = r.cycles();
-    pt.sempe_instructions = r.instructions;
+    pt.sempe_stats = r.stats;
     checked("sempe", r.probed, secure.expected_results);
   }
 
@@ -151,8 +149,7 @@ WorkloadPoint measure_workload(const std::string& spec,
   if (pt.has_cte) {
     const BuiltWorkload cte = gen.build(parsed, Variant::kCte);
     const RunResult r = timed(cte, cpu::ExecMode::kLegacy);
-    pt.cte_cycles = r.cycles();
-    pt.cte_instructions = r.instructions;
+    pt.cte_stats = r.stats;
     checked("cte", r.probed, cte.expected_results);
     // The two variants must also agree with EACH OTHER on what the merged
     // results should be — a CTE emitter bug could satisfy its own mirror.
@@ -163,6 +160,12 @@ WorkloadPoint measure_workload(const std::string& spec,
           first_result_mismatch(cte.expected_results, secure.expected_results);
     }
   }
+  pt.baseline_cycles = pt.baseline_stats.cycles;
+  pt.sempe_cycles = pt.sempe_stats.cycles;
+  pt.cte_cycles = pt.cte_stats.cycles;
+  pt.baseline_instructions = pt.baseline_stats.instructions;
+  pt.sempe_instructions = pt.sempe_stats.instructions;
+  pt.cte_instructions = pt.cte_stats.instructions;
   pt.results_ok = true;
   for (const ModeResultCheck& c : pt.checks) pt.results_ok = pt.results_ok && c.ok;
   return pt;
@@ -259,24 +262,6 @@ LintPoint measure_lint(const std::string& spec,
         "secret_width > 0 but the natural variant lints clean under the "
         "legacy policy (lint lost the taint)");
 
-  return pt;
-}
-
-DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
-                         usize scale, u64 image_seed) {
-  DjpegPoint pt;
-  pt.format = fmt;
-  pt.pixels = pixels;
-
-  workloads::DjpegConfig cfg;
-  cfg.format = fmt;
-  cfg.pixels = pixels;
-  cfg.scale = scale;
-  cfg.image_seed = image_seed;
-  const workloads::BuiltDjpeg built = build_djpeg(cfg);
-
-  pt.baseline = run_built(built.program, cpu::ExecMode::kLegacy).stats;
-  pt.sempe = run_built(built.program, cpu::ExecMode::kSempe).stats;
   return pt;
 }
 

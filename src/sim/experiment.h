@@ -18,7 +18,6 @@
 #include "security/audit.h"
 #include "security/taint_lint.h"
 #include "sim/simulator.h"
-#include "workloads/djpeg.h"
 #include "workloads/microbench.h"
 #include "workloads/registry.h"
 
@@ -69,25 +68,6 @@ struct MicrobenchPoint {
 MicrobenchPoint measure_microbench(workloads::Kind kind, usize width,
                                    const MicrobenchOptions& opt = {});
 
-struct DjpegPoint {
-  workloads::OutputFormat format{};
-  usize pixels = 0;
-  pipeline::PipelineStats baseline;
-  pipeline::PipelineStats sempe;
-
-  double overhead() const {
-    return baseline.cycles == 0
-               ? 0.0
-               : static_cast<double>(sempe.cycles) /
-                         static_cast<double>(baseline.cycles) -
-                     1.0;
-  }
-};
-
-/// Run the djpeg workload for one (format, size) cell of Figs. 8 and 9.
-DjpegPoint measure_djpeg(workloads::OutputFormat fmt, usize pixels,
-                         usize scale = 8, u64 image_seed = 1);
-
 /// The result check of one mode's run: which run diverged from the
 /// host-computed expectations, and where.
 struct ModeResultCheck {
@@ -106,6 +86,11 @@ struct WorkloadPoint {
   bool has_cte = false;    // generator provides a CTE variant
   bool results_ok = false; // all runs matched the expected results
   std::vector<ModeResultCheck> checks;  // one per executed mode, run order
+  // Each mode's pipeline stats (cte_stats stays zero without a CTE run).
+  pipeline::PipelineStats baseline_stats;
+  pipeline::PipelineStats sempe_stats;
+  pipeline::PipelineStats cte_stats;
+  // The stats' totals again, because perfbench/perfbench.cpp reads these.
   Cycle baseline_cycles = 0;
   Cycle sempe_cycles = 0;
   Cycle cte_cycles = 0;

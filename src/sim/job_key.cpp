@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "util/check.h"
-#include "workloads/djpeg.h"
 #include "workloads/kernels.h"
 #include "workloads/registry.h"
 
@@ -102,14 +101,6 @@ KeyText MicrobenchFamily::key(const Job& j) {
   return {std::string("kind=") + workloads::kind_name(j.kind) +
               "&width=" + std::to_string(j.width),
           machine_full_text(j.opt)};
-}
-
-KeyText DjpegFamily::key(const Job& j) {
-  return {std::string("format=") + workloads::format_name(j.format) +
-              "&pixels=" + std::to_string(j.pixels) +
-              "&scale=" + std::to_string(j.scale) +
-              "&image_seed=" + std::to_string(j.image_seed),
-          ""};
 }
 
 KeyText WorkloadFamily::key(const Job& j) {

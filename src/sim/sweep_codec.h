@@ -240,18 +240,14 @@ void fields(auto& v, Of<MicrobenchPoint> auto& p) {
   v("cte_instructions", p.cte_instructions);
 }
 
-void fields(auto& v, Of<DjpegPoint> auto& p) {
-  v("format", p.format, workloads::OutputFormat::kBmp);
-  v("pixels", p.pixels);
-  v.sub("baseline.", p.baseline);
-  v.sub("sempe.", p.sempe);
-}
-
 void fields(auto& v, Of<WorkloadPoint> auto& p) {
   v("spec", p.spec);
   v("has_cte", p.has_cte);
   v("results_ok", p.results_ok);
   v.list("checks.", p.checks);
+  v.sub("baseline_stats.", p.baseline_stats);
+  v.sub("sempe_stats.", p.sempe_stats);
+  v.sub("cte_stats.", p.cte_stats);
   v("baseline_cycles", p.baseline_cycles);
   v("sempe_cycles", p.sempe_cycles);
   v("cte_cycles", p.cte_cycles);

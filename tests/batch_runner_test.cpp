@@ -126,7 +126,7 @@ TEST(BatchRunner, JsonOpensWithMetadataHeader) {
   ASSERT_NE(meta_at, std::string::npos);
   ASSERT_NE(points_at, std::string::npos);
   EXPECT_LT(meta_at, points_at);
-  EXPECT_NE(j.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(j.find("\"schema_version\": 4"), std::string::npos);
   EXPECT_NE(j.find("\"experiment\": \"header\""), std::string::npos);
   EXPECT_NE(j.find("\"workload\": \"microbench\""), std::string::npos);
   EXPECT_NE(j.find("\"modes\": \"legacy,sempe,cte,ideal\""),

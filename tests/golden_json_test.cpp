@@ -116,7 +116,7 @@ TEST(GoldenJson, BenchSyntheticSchemaIsPinned) {
   const auto jobs = workload_grid(specs, MicrobenchOptions{});
   const std::string json = sweep_json<WorkloadFamily>(
       "synthetic", jobs, run_sweep<WorkloadFamily>(jobs, on_threads(1)));
-  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   check_golden("bench_synthetic.json.golden", normalize_points(json));
 }
 
@@ -130,7 +130,7 @@ TEST(GoldenJson, BenchLeakageSchemaIsPinned) {
   const auto jobs = leakage_grid(specs, opt);
   const std::string json = sweep_json<LeakageFamily>(
       "leakage", jobs, run_sweep<LeakageFamily>(jobs, on_threads(1)));
-  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   check_golden("bench_leakage.json.golden", normalize_points(json));
 }
 
@@ -144,7 +144,7 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
   const auto jobs = spec_grid<LintFamily>(specs, opt);
   const auto run = run_sweep<LintFamily>(jobs, on_threads(1));
   const std::string json = sweep_json<LintFamily>("lint", jobs, run);
-  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   for (const auto& pt : run.points)
     EXPECT_TRUE(pt.ok()) << pt.lint.spec << ": " << pt.failure_summary();
   check_golden("bench_lint.json.golden", normalize_points(json));
@@ -159,7 +159,7 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
   const auto jobs = tenant_grid(specs, opt);
   const std::string json = sweep_json<TenantFamily>(
       "tenants", jobs, run_sweep<TenantFamily>(jobs, on_threads(1)));
-  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   // The acceptance-gate flags CI greps for are part of the pinned schema.
   EXPECT_NE(json.find("\"legacy_recovery_above_chance\": 1"),
             std::string::npos);
@@ -250,18 +250,13 @@ TEST(GoldenJson, OrchestrationMicrobenchValuesArePinned) {
                    {1, 2}, opt)));
 }
 
-TEST(GoldenJson, OrchestrationDjpegValuesArePinned) {
-  check_golden("orch_djpeg.golden",
-               orchestration_record<DjpegFamily>(djpeg_grid(
-                   {workloads::OutputFormat::kPpm,
-                    workloads::OutputFormat::kBmp},
-                   {4096}, 16)));
-}
-
 TEST(GoldenJson, OrchestrationWorkloadValuesArePinned) {
+  // Two small Fig. 8/9 djpeg points ride along with the synthetic ones.
+  std::vector<std::string> specs = two_synthetic_specs();
+  specs.push_back("djpeg?format=ppm&pixels=4096&scale=16");
+  specs.push_back("djpeg?format=bmp&pixels=4096&scale=16");
   check_golden("orch_workload.golden",
-               orchestration_record<WorkloadFamily>(
-                   workload_grid(two_synthetic_specs(), {})));
+               orchestration_record<WorkloadFamily>(workload_grid(specs, {})));
 }
 
 TEST(GoldenJson, OrchestrationLeakageValuesArePinned) {

@@ -177,12 +177,12 @@ TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
   job.spec = "synthetic.cond_branch?width=2";
   const JobIdentity id = sim::job_identity<LeakageFamily>(job, "fp");
   EXPECT_EQ(id.schema_version, sim::kResultSchemaVersion);
-  EXPECT_EQ(sim::kResultSchemaVersion, 3);  // this PR's bump
+  EXPECT_EQ(sim::kResultSchemaVersion, 4);  // the latest bump
 
   JobIdentity stale = id;
-  stale.schema_version = 2;  // what a pre-bump binary would have hashed
+  stale.schema_version = 3;  // what a pre-bump binary would have hashed
   EXPECT_NE(stale.key(), id.key());
-  EXPECT_NE(id.canonical_text().find("schema=3"), std::string::npos);
+  EXPECT_NE(id.canonical_text().find("schema=4"), std::string::npos);
 }
 
 TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
@@ -399,6 +399,64 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   EXPECT_THROW(sim::measure_tenant("micro.ones?width=1&iters=1"), SimError);
 }
 
+TEST(SweepCodec, WorkloadStatsMatchDirectRunsAndRoundTrip) {
+  // Each mode's stats are those of a direct sim::run of the same built
+  // program and mode, the bare totals copy them, and the codec carries
+  // them exactly: Fig. 9's miss rates read these stats.
+  using workloads::Variant;
+  const auto counters = [](const pipeline::PipelineStats& s) {
+    return s.export_stats().counters();
+  };
+  for (const std::string spec :
+       {"djpeg?pixels=4096&scale=16",
+        "synthetic.cond_branch?size=32&width=1&iters=1",
+        "crypto.modexp?width=2&secrets=10&iters=2"}) {
+    const sim::WorkloadPoint pt = sim::measure_workload(spec);
+    ASSERT_TRUE(pt.results_ok) << spec << ": " << pt.mismatch_summary();
+    const sim::WorkloadPoint back = sim::decode_point<sim::WorkloadFamily>(
+        sim::encode_point<sim::WorkloadFamily>(pt));
+    const workloads::WorkloadSpec parsed = workloads::WorkloadSpec::parse(spec);
+    const auto& gen =
+        workloads::WorkloadRegistry::instance().resolve(parsed.name);
+    EXPECT_EQ(pt.has_cte, parsed.name != "djpeg") << spec;
+
+    struct Mode {
+      const char* name;
+      Variant variant;
+      cpu::ExecMode exec;
+      const pipeline::PipelineStats& stats;
+      const pipeline::PipelineStats& decoded;
+      Cycle cycles;
+      u64 instructions;
+    };
+    const Mode modes[] = {
+        {"legacy", Variant::kSecure, cpu::ExecMode::kLegacy,
+         pt.baseline_stats, back.baseline_stats, pt.baseline_cycles,
+         pt.baseline_instructions},
+        {"sempe", Variant::kSecure, cpu::ExecMode::kSempe, pt.sempe_stats,
+         back.sempe_stats, pt.sempe_cycles, pt.sempe_instructions},
+        {"cte", Variant::kCte, cpu::ExecMode::kLegacy, pt.cte_stats,
+         back.cte_stats, pt.cte_cycles, pt.cte_instructions},
+    };
+    for (const Mode& m : modes) {
+      const std::string at = spec + " [" + m.name + "]";
+      pipeline::PipelineStats direct;  // stays zero for a mode not run
+      if (m.variant == Variant::kSecure || pt.has_cte) {
+        sim::RunConfig rc;
+        rc.core.mode = m.exec;
+        const sim::RunResult r =
+            sim::run(gen.build(parsed, m.variant).program, rc);
+        EXPECT_EQ(r.instructions, r.stats.instructions) << at;
+        direct = r.stats;
+      }
+      EXPECT_EQ(counters(m.stats), counters(direct)) << at;
+      EXPECT_EQ(m.cycles, m.stats.cycles) << at;
+      EXPECT_EQ(m.instructions, m.stats.instructions) << at;
+      EXPECT_EQ(counters(m.decoded), counters(m.stats)) << at;
+    }
+  }
+}
+
 TEST(SweepCodec, CorruptBlobsThrow) {
   EXPECT_THROW(sim::decode_point<MicrobenchFamily>(""), SimError);
   EXPECT_THROW(sim::decode_point<MicrobenchFamily>("not a point blob\n"),
@@ -408,7 +466,7 @@ TEST(SweepCodec, CorruptBlobsThrow) {
   opt.iterations = 1;
   const auto pt = sim::measure_microbench(Kind::kOnes, 1, opt);
   const std::string blob = sim::encode_point<MicrobenchFamily>(pt);
-  EXPECT_THROW(sim::decode_point<sim::DjpegFamily>(blob), SimError);
+  EXPECT_THROW(sim::decode_point<sim::WorkloadFamily>(blob), SimError);
   // A missing field or an out-of-range enum fails too.
   std::string truncated = blob.substr(0, blob.rfind("u cte_instructions"));
   EXPECT_THROW(sim::decode_point<MicrobenchFamily>(truncated), SimError);
