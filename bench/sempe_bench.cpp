@@ -7,10 +7,11 @@
 // applies --jobs/--shard to each row's own job list, concatenates the rows
 // of each sweep family and sweeps every family once through sim::run_sweep,
 // which runs each distinct job key once (Fig. 9 re-reports Fig. 8's points;
-// Fig. 10b, Table I and the ablation share Fig. 10a's). Each row then, in
-// table order, prints its report and emits its --json document exactly as
-// it would alone; several documents are written back to back, a stream
-// `jq` reads as is. The exit status is nonzero if any row's gate fails.
+// Fig. 10b, Tables I and II and the ablation share Fig. 10a's). Each row
+// then, in table order, prints its report and emits its --json document
+// exactly as it would alone; several documents are written back to back, a
+// stream `jq` reads as is. The exit status is nonzero if any row's gate
+// fails.
 // Environment knobs (sim::env_usize rejects malformed values):
 // SEMPE_BENCH_ITERS, SEMPE_DJPEG_SCALE (1 = paper-sized images),
 // SEMPE_AUDIT_SAMPLES, SEMPE_STAT_SAMPLES and SEMPE_STAT_BUDGET.
@@ -33,9 +34,6 @@ namespace {
 
 using namespace sempe;
 using sim::BatchCli;
-using sim::MicrobenchFamily;
-using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
 using workloads::Kind;
 
 /// A job list and its points: one row's, which its report sees, or one
@@ -46,9 +44,8 @@ struct Sweep {
   sim::SweepRun<typename F::Point> run;  // run.points[i] is jobs[i]'s
 };
 using WorkloadSweep = Sweep<sim::WorkloadFamily>;
-using Pools = std::tuple<Sweep<MicrobenchFamily>, WorkloadSweep,
-                         Sweep<sim::LeakageFamily>, Sweep<sim::LintFamily>,
-                         Sweep<sim::TenantFamily>>;
+using Pools = std::tuple<WorkloadSweep, Sweep<sim::LeakageFamily>,
+                         Sweep<sim::LintFamily>, Sweep<sim::TenantFamily>>;
 
 /// A queued row's second half, run after the sweeps: print the report,
 /// append the --json document to `*json` (if non-null), return the gate.
@@ -100,22 +97,70 @@ bool results_gate(std::FILE* out, const sim::WorkloadPoint& pt) {
   return pt.results_ok;
 }
 
-// Tables I and II.
+// Tables I and II, Fig. 10 and the ablations time the Fig. 7
+// microbenchmark (micro.* registry specs) with every secret false: the
+// baseline skips every guarded body, which is what makes the Fig. 10
+// slowdown ~ W+1.
 
-MicrobenchOptions microbench_options() {
-  MicrobenchOptions opt;
-  opt.iterations = sim::env_usize("SEMPE_BENCH_ITERS", 20);
-  return opt;
+/// The micro.* spec of `kind` at nesting depth `w`, without its secrets.
+std::string micro_spec(Kind kind, usize w) {
+  return std::string("micro.") + workloads::kind_name(kind) +
+         "?width=" + std::to_string(w) + "&iters=" +
+         std::to_string(sim::env_usize("SEMPE_BENCH_ITERS", 20));
+}
+
+sim::WorkloadJob micro_job(std::string label, Kind kind, usize w,
+                           const sim::MachineOptions& opt = {}) {
+  return {std::move(label), micro_spec(kind, w) + "&secrets=0", opt};
+}
+
+/// The label of a Table I / Fig. 10 point, e.g. "ones/W=3".
+std::string nest_label(Kind kind, usize w) {
+  return std::string(workloads::kind_name(kind)) + "/W=" + std::to_string(w);
+}
+
+/// The kernel and nesting depth of a micro.* point, read from its spec.
+struct Nest {
+  std::string kind;
+  usize width;
+};
+Nest nest_of(const sim::WorkloadPoint& pt) {
+  const auto spec = workloads::WorkloadSpec::parse(pt.spec);
+  return {spec.name.substr(spec.name.find('.') + 1),
+          static_cast<usize>(spec.get_u64("width", 0))};
+}
+
+/// The label -> point lookup of a report: a --jobs or --shard filter can
+/// drop any job, so a missing label is nullptr.
+struct Points {
+  const WorkloadSweep& sweep;
+  const sim::WorkloadPoint* operator()(const std::string& label) const {
+    for (usize k = 0; k < sweep.jobs.size(); ++k)
+      if (sweep.jobs[k].label == label) return &sweep.run.points[k];
+    return nullptr;
+  }
+};
+
+/// Gate every point of a sweep (see results_gate).
+bool gate_all(std::FILE* out, const WorkloadSweep& sweep) {
+  bool all_ok = true;
+  for (const auto& pt : sweep.run.points)
+    all_ok = results_gate(out, pt) && all_ok;
+  return all_ok;
 }
 
 // Table I's CTE and SeMPE rows are measured at the paper's deepest nesting
 // (W = 10), as Table I cites the microbenchmark worst case; the other
 // systems' rows are their reported overheads.
-std::vector<MicrobenchJob> table1_jobs() {
-  return sim::microbench_grid(kKinds, {10}, microbench_options());
+std::vector<sim::WorkloadJob> table1_jobs() {
+  std::vector<sim::WorkloadJob> jobs;
+  for (const Kind kind : kKinds)
+    jobs.push_back(micro_job(nest_label(kind, 10), kind, 10));
+  return jobs;
 }
 
-bool table1_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
+bool table1_report(std::FILE* out, const WorkloadSweep& sweep) {
+  const bool ok = gate_all(out, sweep);
   // Worst case over the points this run has (--jobs / --shard may filter).
   double worst_cte = 0, worst_sempe = 0;
   for (const auto& pt : sweep.run.points) {
@@ -139,15 +184,16 @@ bool table1_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
   line("Simple architecture", "Yes", "No", "Yes", "Yes");
   line("Backward compatible", "Yes", "No", "No", "Yes");
   std::fprintf(out, "\n");
-  return true;
+  return ok;
 }
 
 // Table II echoes the configured machine, backed by a live self-check run.
-std::vector<MicrobenchJob> table2_jobs() {
-  return {{"selfcheck/ones/W=2", Kind::kOnes, 2, microbench_options()}};
+std::vector<sim::WorkloadJob> table2_jobs() {
+  return {micro_job("selfcheck/ones/W=2", Kind::kOnes, 2)};
 }
 
-bool table2_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
+bool table2_report(std::FILE* out, const WorkloadSweep& sweep) {
+  const bool ok = gate_all(out, sweep);
   std::fprintf(out, "\n%s\n", sim::describe(sim::table2_machine()).c_str());
   // A --jobs filter or a non-owning shard can drop the single self-check
   // point; the table still prints.
@@ -160,7 +206,7 @@ bool table2_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
     std::fprintf(out, "self-check IPC on ones/W=2: %.2f\n", ipc);
   }
   std::fprintf(out, "\n");
-  return true;
+  return ok;
 }
 
 // Figures 8 and 9: djpeg per output format and image size, registry
@@ -228,37 +274,91 @@ bool fig9_report(std::FILE* out, const WorkloadSweep& sweep) {
 
 // Figure 10: the microbenchmarks over nesting depth W.
 
-std::vector<MicrobenchJob> fig10_jobs() {
-  return sim::microbench_grid(kKinds, kFig10Widths, microbench_options());
+std::vector<sim::WorkloadJob> fig10_jobs() {
+  std::vector<sim::WorkloadJob> jobs;
+  for (const Kind kind : kKinds)
+    for (const usize w : kFig10Widths)
+      jobs.push_back(micro_job(nest_label(kind, w), kind, w));
+  return jobs;
 }
 
 // Fig. 10a, slowdown per kernel. Paper shape: SeMPE ~ W+1 (8.4-10.6x at
 // W=10); CTE from 3-32x at W=1 up to 12.9-187.3x at W=10.
-bool fig10a_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
-  for (const auto& pt : sweep.run.points)
+bool fig10a_report(std::FILE* out, const WorkloadSweep& sweep) {
+  bool all_ok = true;
+  for (const auto& pt : sweep.run.points) {
+    const Nest n = nest_of(pt);
     std::fprintf(out,
                  "Fig10a  %-10s W=%2zu  SeMPE %6.2fx   CTE %7.2fx   "
                  "(CTE/SeMPE %5.2fx)\n",
-                 workloads::kind_name(pt.kind), pt.width, pt.sempe_slowdown(),
-                 pt.cte_slowdown(), pt.cte_vs_sempe());
-  return true;
+                 n.kind.c_str(), n.width, pt.sempe_slowdown(),
+                 pt.cte_slowdown(),
+                 sim::WorkloadPoint::ratio(pt.cte_cycles, pt.sempe_cycles));
+    all_ok = results_gate(out, pt) && all_ok;
+  }
+  return all_ok;
 }
 
-// Fig. 10b, slowdown over the sum-of-paths ideal averaged per W over the
-// kernels: standalone (paths costed in isolation, the paper's definition,
-// which SeMPE beats by prefetching between paths) and combined (every path
-// once in one run). A width a --jobs or --shard filter emptied prints no row.
-bool fig10b_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
+// The two operational definitions of the sum-of-paths ideal, each its own
+// legacy-only job:
+//   combined   — the legacy run with every secret true: every path
+//                executes once within a single run, cross-path locality
+//                included;
+//   standalone — (W+1) x the legacy run of the width-0 build (each path
+//                costed in isolation, the paper's definition; SeMPE can
+//                beat it by prefetching between paths). One width-0 job
+//                per kernel and knob set serves every W.
+
+sim::WorkloadJob ideal_combined_job(std::string label, Kind kind, usize w,
+                                    const sim::MachineOptions& opt = {}) {
+  return {std::move(label), micro_spec(kind, w) + "&secrets=1", opt,
+          /*legacy_only=*/true};
+}
+
+sim::WorkloadJob ideal_standalone_job(std::string label, Kind kind,
+                                      const sim::MachineOptions& opt = {}) {
+  return {std::move(label), micro_spec(kind, 0), opt, /*legacy_only=*/true};
+}
+
+Cycle ideal_standalone_cycles(const sim::WorkloadPoint& width0, usize w) {
+  return static_cast<Cycle>(w + 1) * width0.baseline_cycles;
+}
+
+std::vector<sim::WorkloadJob> fig10b_jobs() {
+  std::vector<sim::WorkloadJob> jobs = fig10_jobs();
+  for (const Kind kind : kKinds) {
+    for (const usize w : kFig10Widths)
+      jobs.push_back(ideal_combined_job(nest_label(kind, w) + "/ideal-combined",
+                                        kind, w));
+    jobs.push_back(ideal_standalone_job(
+        std::string(workloads::kind_name(kind)) + "/ideal-standalone", kind));
+  }
+  return jobs;
+}
+
+// Fig. 10b, slowdown over both ideals averaged per W over the kernels. A
+// kernel whose point or either ideal job a --jobs or --shard filter dropped
+// is left out of its width's average; a width left with no kernel prints
+// no row.
+bool fig10b_report(std::FILE* out, const WorkloadSweep& sweep) {
+  const bool ok = gate_all(out, sweep);
+  const Points find{sweep};
   for (const usize w : kFig10Widths) {
     double vs_standalone = 0, vs_combined = 0, cte_vs_standalone = 0;
     usize present = 0;
-    for (const auto& pt : sweep.run.points) {
-      if (pt.width != w) continue;
+    for (const Kind kind : kKinds) {
+      const auto* pt = find(nest_label(kind, w));
+      const auto* combined = find(nest_label(kind, w) + "/ideal-combined");
+      const auto* width0 = find(std::string(workloads::kind_name(kind)) +
+                                "/ideal-standalone");
+      if (!pt || !combined || !width0) continue;
       ++present;
-      vs_standalone += pt.sempe_vs_ideal_standalone();
-      vs_combined += pt.sempe_vs_ideal_combined();
-      cte_vs_standalone += sim::MicrobenchPoint::ratio(
-          pt.cte_cycles, pt.ideal_standalone_cycles);
+      const Cycle standalone = ideal_standalone_cycles(*width0, w);
+      vs_standalone += sim::WorkloadPoint::ratio(pt->sempe_cycles, standalone);
+      vs_combined += sim::WorkloadPoint::ratio(pt->sempe_cycles,
+                                               combined->baseline_cycles);
+      cte_vs_standalone +=
+          sim::WorkloadPoint::ratio(pt->cte_cycles, standalone);
     }
     if (present == 0) continue;
     const double n = static_cast<double>(present);
@@ -267,7 +367,7 @@ bool fig10b_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
                  "SeMPE/ideal(combined) %5.2f   CTE/ideal %6.2f\n",
                  w, vs_standalone / n, vs_combined / n, cte_vs_standalone / n);
   }
-  return true;
+  return ok;
 }
 
 // Section IV-F ablations: snapshot mechanism (ArchRS, chosen, vs PhyRS's
@@ -277,44 +377,41 @@ bool fig10b_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
 constexpr usize kSnapshotWidths = 8;               // W = 1..8, 3 jobs each
 constexpr u32 kSpmRates[] = {8, 16, 32, 64, 128};  // B/cycle
 
-std::vector<MicrobenchJob> ablation_jobs() {
-  const MicrobenchOptions base = microbench_options();
-  std::vector<MicrobenchJob> jobs;
+std::vector<sim::WorkloadJob> ablation_jobs() {
+  std::vector<sim::WorkloadJob> jobs;
   for (usize w = 1; w <= kSnapshotWidths; ++w) {
     const std::string suffix = "/W=" + std::to_string(w);
-    MicrobenchOptions opt = base;
-    jobs.push_back({"snapshot/archrs" + suffix, Kind::kOnes, w, opt});
+    sim::MachineOptions opt;
+    jobs.push_back(micro_job("snapshot/archrs" + suffix, Kind::kOnes, w, opt));
     opt.snapshot_model = cpu::SnapshotModel::kPhyRS;
-    jobs.push_back({"snapshot/phyrs" + suffix, Kind::kOnes, w, opt});
+    jobs.push_back(micro_job("snapshot/phyrs" + suffix, Kind::kOnes, w, opt));
     opt.snapshot_model = cpu::SnapshotModel::kLRS;
     opt.extra_front_end_depth = 1;  // the tagged-rename pipeline stage
     opt.rename_width_override = 4;  // tag-lookup ports halve rename width
-    jobs.push_back({"snapshot/lrs" + suffix, Kind::kOnes, w, opt});
+    jobs.push_back(micro_job("snapshot/lrs" + suffix, Kind::kOnes, w, opt));
   }
   for (const u32 rate : kSpmRates) {
-    MicrobenchOptions opt = base;
+    sim::MachineOptions opt;
     opt.spm_bytes_per_cycle = rate;
-    jobs.push_back(
-        {"spm/" + std::to_string(rate) + "B", Kind::kFibonacci, 4, opt});
+    jobs.push_back(micro_job("spm/" + std::to_string(rate) + "B",
+                             Kind::kFibonacci, 4, opt));
   }
   for (const bool on : {true, false}) {
-    MicrobenchOptions opt = base;
+    sim::MachineOptions opt;
     opt.enable_prefetchers = on;
-    jobs.push_back({std::string("prefetch/") + (on ? "on" : "off"),
-                    Kind::kOnes, 6, opt});
+    const std::string label = std::string("prefetch/") + (on ? "on" : "off");
+    jobs.push_back(micro_job(label, Kind::kOnes, 6, opt));
+    jobs.push_back(
+        ideal_standalone_job(label + "/ideal-standalone", Kind::kOnes, opt));
   }
   return jobs;
 }
 
-bool ablation_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
+bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
+  const bool ok = gate_all(out, sweep);
   // The sections recombine points by job label: a filtered or sharded run
   // holds only a subset, so rows with a missing ingredient are skipped.
-  const auto find =
-      [&](const std::string& label) -> const sim::MicrobenchPoint* {
-    for (usize k = 0; k < sweep.jobs.size(); ++k)
-      if (sweep.jobs[k].label == label) return &sweep.run.points[k];
-    return nullptr;
-  };
+  const Points find{sweep};
   for (usize w = 1; w <= kSnapshotWidths; ++w) {
     const std::string suffix = "/W=" + std::to_string(w);
     const auto* arch = find("snapshot/archrs" + suffix);
@@ -343,14 +440,19 @@ bool ablation_report(std::FILE* out, const Sweep<MicrobenchFamily>& sweep) {
                  rate, pt->sempe_slowdown());
   }
   for (const bool on : {true, false}) {
-    const auto* pt = find(on ? "prefetch/on" : "prefetch/off");
-    if (!pt) continue;
+    const std::string label = std::string("prefetch/") + (on ? "on" : "off");
+    const auto* pt = find(label);
+    const auto* width0 = find(label + "/ideal-standalone");
+    if (!pt || !width0) continue;
     std::fprintf(out,
                  "Ablation/prefetch  %s  SeMPE/ideal(standalone) = %.3f "
                  "(ones, W=6)\n",
-                 on ? "on " : "off", pt->sempe_vs_ideal_standalone());
+                 on ? "on " : "off",
+                 sim::WorkloadPoint::ratio(
+                     pt->sempe_cycles,
+                     ideal_standalone_cycles(*width0, nest_of(*pt).width)));
   }
-  return true;
+  return ok;
 }
 
 // Registry workloads across the full mode matrix (legacy baseline, SeMPE,
@@ -523,20 +625,23 @@ bool tenants_report(std::FILE* out, const Sweep<sim::TenantFamily>& sweep) {
 // The experiment table, in run order.
 
 const Experiment kExperiments[] = {
-    row<MicrobenchFamily>("table1", "Table I: approaches to eliminate SDBCB",
-                          table1_jobs, table1_report),
-    row<MicrobenchFamily>("table2", "Table II: baseline machine model",
-                          table2_jobs, table2_report),
+    row<sim::WorkloadFamily>("table1",
+                             "Table I: approaches to eliminate SDBCB",
+                             table1_jobs, table1_report),
+    row<sim::WorkloadFamily>("table2", "Table II: baseline machine model",
+                             table2_jobs, table2_report),
     row<sim::WorkloadFamily>("fig8", "Figure 8: djpeg overhead by format/size",
                              djpeg_jobs, fig8_report),
     row<sim::WorkloadFamily>("fig9", "Figure 9: djpeg cache miss rates",
                              djpeg_jobs, fig9_report),
-    row<MicrobenchFamily>("fig10a", "Figure 10a: slowdown vs nesting depth",
-                          fig10_jobs, fig10a_report),
-    row<MicrobenchFamily>("fig10b", "Figure 10b: slowdown over the ideal",
-                          fig10_jobs, fig10b_report),
-    row<MicrobenchFamily>("ablation", "Ablations: snapshot / SPM / prefetch",
-                          ablation_jobs, ablation_report),
+    row<sim::WorkloadFamily>("fig10a",
+                             "Figure 10a: slowdown vs nesting depth",
+                             fig10_jobs, fig10a_report),
+    row<sim::WorkloadFamily>("fig10b", "Figure 10b: slowdown over the ideal",
+                             fig10b_jobs, fig10b_report),
+    row<sim::WorkloadFamily>("ablation",
+                             "Ablations: snapshot / SPM / prefetch",
+                             ablation_jobs, ablation_report),
     row<sim::WorkloadFamily>(
         "synthetic", "synthetic kernels x {legacy, SeMPE, CTE}",
         synthetic_jobs, [](std::FILE* out, const WorkloadSweep& s) {

@@ -100,23 +100,18 @@ std::string json_header(const std::string& experiment,
 }
 
 // Header workload field: the distinct generator names, in job order.
-// Families without specs name themselves.
-template <typename F>
-std::string workload_field(const std::vector<typename F::Job>& jobs) {
-  if constexpr (requires(const typename F::Job& j) { j.spec; }) {
-    std::vector<std::string> seen;
-    std::string generators;
-    for (const auto& j : jobs) {
-      const std::string name = j.spec.substr(0, j.spec.find('?'));
-      if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
-      seen.push_back(name);
-      if (!generators.empty()) generators += ',';
-      generators += name;
-    }
-    return generators;
-  } else {
-    return F::kName;
+template <typename Job>
+std::string workload_field(const std::vector<Job>& jobs) {
+  std::vector<std::string> seen;
+  std::string generators;
+  for (const Job& j : jobs) {
+    const std::string name = j.spec.substr(0, j.spec.find('?'));
+    if (std::find(seen.begin(), seen.end(), name) != seen.end()) continue;
+    seen.push_back(name);
+    if (!generators.empty()) generators += ',';
+    generators += name;
   }
+  return generators;
 }
 
 }  // namespace
@@ -255,8 +250,7 @@ std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
                        const SweepRun<typename F::Point>& run) {
   SEMPE_CHECK(run.points.size() == jobs.size());
-  std::string out =
-      json_header(experiment, workload_field<F>(jobs), F::kModes);
+  std::string out = json_header(experiment, workload_field(jobs), F::kModes);
   for (usize k = 0; k < jobs.size(); ++k) {
     const typename F::Job& job = jobs[k];
     out += "    {\n";
@@ -279,25 +273,6 @@ std::string sweep_json(const std::string& experiment,
 SEMPE_SWEEP_FAMILIES(SEMPE_INSTANTIATE_FAMILY)
 #undef SEMPE_INSTANTIATE_FAMILY
 
-std::vector<MicrobenchJob> microbench_grid(
-    const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
-    const MicrobenchOptions& opt) {
-  std::vector<MicrobenchJob> jobs;
-  jobs.reserve(kinds.size() * widths.size());
-  for (const workloads::Kind kind : kinds) {
-    for (const usize w : widths) {
-      MicrobenchJob j;
-      j.label = std::string(workloads::kind_name(kind)) + "/W=" +
-                std::to_string(w);
-      j.kind = kind;
-      j.width = w;
-      j.opt = opt;
-      jobs.push_back(std::move(j));
-    }
-  }
-  return jobs;
-}
-
 std::vector<std::string> registry_audit_specs(usize iters) {
   std::vector<std::string> specs;
   for (const std::string& name :
@@ -312,23 +287,6 @@ std::vector<std::string> registry_audit_specs(usize iters) {
 
 // ---------------------------------------------------------------------------
 // The JSON projections of the family rows.
-
-void MicrobenchFamily::json(JsonFields& out, const Job&, const Point& p) {
-  out.s("kind", workloads::kind_name(p.kind));
-  out.u("width", p.width);
-  out.u("baseline_cycles", p.baseline_cycles);
-  out.u("sempe_cycles", p.sempe_cycles);
-  out.u("cte_cycles", p.cte_cycles);
-  out.u("ideal_combined_cycles", p.ideal_combined_cycles);
-  out.u("ideal_standalone_cycles", p.ideal_standalone_cycles);
-  out.u("baseline_instructions", p.baseline_instructions);
-  out.u("sempe_instructions", p.sempe_instructions);
-  out.u("cte_instructions", p.cte_instructions);
-  out.f("sempe_slowdown", p.sempe_slowdown());
-  out.f("cte_slowdown", p.cte_slowdown());
-  out.f("sempe_vs_ideal_combined", p.sempe_vs_ideal_combined());
-  out.f("sempe_vs_ideal_standalone", p.sempe_vs_ideal_standalone());
-}
 
 void WorkloadFamily::json(JsonFields& out, const Job&, const Point& p) {
   out.s("spec", p.spec);

@@ -9,12 +9,13 @@
 // it — byte-identical regardless of thread count.
 //
 // Every sweep is a list of jobs of one family, and every family is one row
-// of the sweep-family table below (microbench, workload, leakage, lint,
-// tenant): the row names its Job and Point types, how a job is measured,
-// its JSON projection and its job key, and one generic run_sweep /
-// sweep_json / job_identity / codec path serves every row. Registry specs
-// share the workload row, Figs. 8/9's djpeg points among them, so every
-// such run has its results checked against the host mirror. A sweep
+// of the sweep-family table below (workload, leakage, lint, tenant): the
+// row names its Job and Point types, how a job is measured, its JSON
+// projection and its job key, and one generic run_sweep / sweep_json /
+// job_identity / codec path serves every row. Every timing point of the
+// paper is a workload job over a registry spec — Table I, Fig. 10 and the
+// ablations over micro.* specs, Figs. 8/9 over djpeg specs — so every such
+// run has its results checked against the host mirror. A sweep
 // resolves each distinct job key once — from the journal, the cache, or by
 // executing it — and hands that point to every job sharing the key, which
 // is sound because the key covers every input a measurement reads
@@ -199,31 +200,32 @@ struct SweepRun {
 //
 // A row is a descriptor struct naming its Job and Point types, its family
 // name (the codec blob header and the job key's family field), the mode
-// list its points cover (the JSON meta header and the job key), how one
-// job is measured, its JSON projection, and its job-key text. Everything
+// list its points cover (the JSON meta header and, unless the job's key
+// text narrows it, the job key), how one job is measured, its JSON
+// projection, and its job-key text. Everything
 // else is one generic function over the row: run_sweep, sweep_json and
 // spec_grid here, job_identity in sim/job_key.h, encode_point/decode_point
 // in sim/sweep_codec.h. A new family is one row plus an entry in
 // SEMPE_SWEEP_FAMILIES.
 
-struct MicrobenchJob {
-  std::string label;  // e.g. "fibonacci/W=10" or "ablation/spm/64B"
-  workloads::Kind kind{};
-  usize width = 0;
-  MicrobenchOptions opt{};
-};
-
 /// A registry-resolved workload spec (see workloads/registry.h) plus the
-/// options its measurement reads: MicrobenchOptions machine knobs for the
-/// timing families, security::AuditOptions for the audit families.
+/// options its measurement reads.
 template <typename Opt>
 struct SpecJob {
   std::string label;  // e.g. "synthetic.ptr_chase/W=4"
   std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
   Opt opt{};
 };
-using WorkloadJob = SpecJob<MicrobenchOptions>;
 using LeakageJob = SpecJob<security::AuditOptions>;
+
+/// A spec timed under the machine knobs of `opt`: every mode, or the
+/// legacy baseline alone (the sum-of-paths ideals of Fig. 10b).
+struct WorkloadJob {
+  std::string label;  // e.g. "ones/W=4"
+  std::string spec;   // e.g. "micro.ones?width=4&iters=20&secrets=0"
+  MachineOptions opt{};
+  bool legacy_only = false;  // reaches the job key as modes=legacy
+};
 
 /// One co-residence attack spec (workloads/attack.h) audited end-to-end
 /// over the secret space (see measure_tenant). The victim spec, probe
@@ -242,29 +244,20 @@ struct TenantJob {
 struct KeyText {
   std::string spec;     // canonical spec text
   std::string machine;  // result-affecting options, "k=v k=v" text
+  std::string modes{};  // the modes the job runs ("": the row's kModes)
 };
 
 /// One point's `"key": value` lines in a --json document (sweep_json).
 class JsonFields;
-
-struct MicrobenchFamily {
-  using Job = MicrobenchJob;
-  using Point = MicrobenchPoint;
-  static constexpr const char* kName = "microbench";
-  static constexpr const char* kModes = "legacy,sempe,cte,ideal";
-  static Point measure(const Job& j) {
-    return measure_microbench(j.kind, j.width, j.opt);
-  }
-  static KeyText key(const Job& j);
-  static void json(JsonFields& out, const Job& j, const Point& p);
-};
 
 struct WorkloadFamily {
   using Job = WorkloadJob;
   using Point = WorkloadPoint;
   static constexpr const char* kName = "workload";
   static constexpr const char* kModes = "legacy,sempe,cte";
-  static Point measure(const Job& j) { return measure_workload(j.spec, j.opt); }
+  static Point measure(const Job& j) {
+    return measure_workload(j.spec, j.opt, j.legacy_only);
+  }
   static KeyText key(const Job& j);
   static void json(JsonFields& out, const Job& j, const Point& p);
 };
@@ -300,9 +293,8 @@ struct TenantFamily {
 };
 
 /// The table: X(row) once per family.
-#define SEMPE_SWEEP_FAMILIES(X)                                        \
-  X(MicrobenchFamily) X(WorkloadFamily) X(LeakageFamily) X(LintFamily) \
-  X(TenantFamily)
+#define SEMPE_SWEEP_FAMILIES(X) \
+  X(WorkloadFamily) X(LeakageFamily) X(LintFamily) X(TenantFamily)
 
 /// Run a sweep: resolve each distinct job key once, in first-occurrence
 /// order — from the journal, then the cache, and otherwise by parallel
@@ -333,11 +325,7 @@ inline constexpr auto& run_tenant_sweep = run_sweep<TenantFamily>;
 inline constexpr auto& workload_grid = spec_grid<WorkloadFamily>;
 inline constexpr auto& leakage_grid = spec_grid<LeakageFamily>;
 inline constexpr auto& tenant_grid = spec_grid<TenantFamily>;
-
-/// Cartesian sweep (kind-major, so a figure's series stay contiguous).
-std::vector<MicrobenchJob> microbench_grid(
-    const std::vector<workloads::Kind>& kinds, const std::vector<usize>& widths,
-    const MicrobenchOptions& opt);
+using MicrobenchPoint = WorkloadPoint;  // for MicrobenchPoint::ratio
 
 /// The specs the leakage and lint experiments audit: every registered
 /// workload except the attack.* ones (the tenants experiment owns those)

@@ -8,15 +8,11 @@
 
 namespace sempe::sim {
 
-using workloads::BuiltMicrobench;
-using workloads::MicrobenchConfig;
-using workloads::Variant;
-
 namespace {
 
 RunResult run_built(const isa::Program& program, cpu::ExecMode mode,
-                    const MicrobenchOptions& opt, Addr probe_addr = 0,
-                    usize probe_words = 0) {
+                    const MachineOptions& opt, Addr probe_addr,
+                    usize probe_words) {
   RunConfig rc;
   rc.core.mode = mode;
   rc.record_observations = false;  // timing only; observation runs are tests
@@ -32,63 +28,6 @@ RunResult run_built(const isa::Program& program, cpu::ExecMode mode,
 }
 
 }  // namespace
-
-MicrobenchPoint measure_microbench(workloads::Kind kind, usize width,
-                                   const MicrobenchOptions& opt) {
-  MicrobenchPoint pt;
-  pt.kind = kind;
-  pt.width = width;
-
-  MicrobenchConfig cfg;
-  cfg.kind = kind;
-  cfg.width = width;
-  cfg.iterations = opt.iterations;
-  cfg.size = opt.size;
-  cfg.input_seed = opt.input_seed;
-  cfg.secrets.assign(width, 0);  // all false at run time
-
-  // Baseline and SeMPE: the same annotated binary, two modes.
-  cfg.variant = Variant::kSecure;
-  const BuiltMicrobench secure = build_microbench(cfg);
-  {
-    const RunResult r = run_built(secure.program, cpu::ExecMode::kLegacy, opt);
-    pt.baseline_cycles = r.cycles();
-    pt.baseline_instructions = r.instructions;
-  }
-  {
-    const RunResult r = run_built(secure.program, cpu::ExecMode::kSempe, opt);
-    pt.sempe_cycles = r.cycles();
-    pt.sempe_instructions = r.instructions;
-  }
-
-  // CTE (FaCT-style) binary on the legacy core.
-  cfg.variant = Variant::kCte;
-  const BuiltMicrobench cte = build_microbench(cfg);
-  {
-    const RunResult r = run_built(cte.program, cpu::ExecMode::kLegacy, opt);
-    pt.cte_cycles = r.cycles();
-    pt.cte_instructions = r.instructions;
-  }
-
-  // Ideal (combined): all paths execute once in a single legacy run.
-  cfg.variant = Variant::kSecure;
-  cfg.secrets.assign(width, 1);
-  const BuiltMicrobench all_true = build_microbench(cfg);
-  pt.ideal_combined_cycles =
-      run_built(all_true.program, cpu::ExecMode::kLegacy, opt).cycles();
-
-  // Ideal (standalone): each path costed in isolation = (W+1) x the
-  // single-workload run.
-  MicrobenchConfig single = cfg;
-  single.width = 0;
-  single.secrets.clear();
-  const BuiltMicrobench one = build_microbench(single);
-  const Cycle t1 =
-      run_built(one.program, cpu::ExecMode::kLegacy, opt).cycles();
-  pt.ideal_standalone_cycles = static_cast<Cycle>(width + 1) * t1;
-
-  return pt;
-}
 
 const ModeResultCheck* WorkloadPoint::check(const std::string& mode) const {
   for (const ModeResultCheck& c : checks)
@@ -107,7 +46,7 @@ std::string WorkloadPoint::mismatch_summary() const {
 }
 
 WorkloadPoint measure_workload(const std::string& spec,
-                               const MicrobenchOptions& opt) {
+                               const MachineOptions& opt, bool legacy_only) {
   using workloads::BuiltWorkload;
   using workloads::Variant;
 
@@ -139,14 +78,13 @@ WorkloadPoint measure_workload(const std::string& spec,
     pt.baseline_stats = r.stats;
     checked("legacy", r.probed, secure.expected_results);
   }
-  {
+  pt.has_cte = gen.has_cte_variant();
+  if (!legacy_only) {
     const RunResult r = timed(secure, cpu::ExecMode::kSempe);
     pt.sempe_stats = r.stats;
     checked("sempe", r.probed, secure.expected_results);
   }
-
-  pt.has_cte = gen.has_cte_variant();
-  if (pt.has_cte) {
+  if (pt.has_cte && !legacy_only) {
     const BuiltWorkload cte = gen.build(parsed, Variant::kCte);
     const RunResult r = timed(cte, cpu::ExecMode::kLegacy);
     pt.cte_stats = r.stats;

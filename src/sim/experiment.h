@@ -1,72 +1,34 @@
 // Experiment drivers for the paper's evaluation (Section VI).
 //
-// A "point" bundles the runs needed for one x-axis position of a figure:
+// A "point" bundles the runs needed for one x-axis position of a figure.
+// The timing point (WorkloadPoint) covers, for one registry workload spec:
 //
 //   baseline — the sJMP-annotated binary on the legacy core (the paper's
 //              unprotected baseline; prefixes are ignored).
 //   sempe    — the same binary on the SeMPE core.
 //   cte      — the FaCT-style constant-time binary on the legacy core.
-//   ideal    — two operational definitions of the sum-of-paths ideal:
-//              `ideal_combined`: legacy run with all secrets true (every
-//              path executes once within a single run — includes cross-path
-//              locality), and `ideal_standalone`: (W+1) x the time of a
-//              single-workload run (each path costed in isolation, the
-//              paper's definition; SeMPE can beat this via the prefetching
-//              effect).
+//
+// The audit points (LeakagePoint, TenantPoint, LintPoint) sweep a spec
+// over its secret space instead.
 #pragma once
 
 #include "security/audit.h"
 #include "security/taint_lint.h"
 #include "sim/simulator.h"
-#include "workloads/microbench.h"
 #include "workloads/registry.h"
 
 namespace sempe::sim {
 
-struct MicrobenchOptions {
-  usize iterations = 60;
-  usize size = 0;  // 0 = per-kind default
-  u64 input_seed = 42;
-  // Machine knobs for ablation studies (applied to every run of a point):
+/// The machine knobs of the ablation studies, applied to every run of a
+/// timing point. The workload's own shape (size, iterations, secrets)
+/// travels in its spec.
+struct MachineOptions {
   cpu::SnapshotModel snapshot_model = cpu::SnapshotModel::kArchRS;
   u32 spm_bytes_per_cycle = 64;
   bool enable_prefetchers = true;
   Cycle extra_front_end_depth = 0;  // e.g. the LRS rename-table stage
   u32 rename_width_override = 0;    // 0 = Table II default; LRS tag-port cost
 };
-
-struct MicrobenchPoint {
-  workloads::Kind kind{};
-  usize width = 0;
-  Cycle baseline_cycles = 0;
-  Cycle sempe_cycles = 0;
-  Cycle cte_cycles = 0;
-  Cycle ideal_combined_cycles = 0;
-  Cycle ideal_standalone_cycles = 0;
-  u64 baseline_instructions = 0;
-  u64 sempe_instructions = 0;
-  u64 cte_instructions = 0;
-
-  double sempe_slowdown() const { return ratio(sempe_cycles, baseline_cycles); }
-  double cte_slowdown() const { return ratio(cte_cycles, baseline_cycles); }
-  double sempe_vs_ideal_combined() const {
-    return ratio(sempe_cycles, ideal_combined_cycles);
-  }
-  double sempe_vs_ideal_standalone() const {
-    return ratio(sempe_cycles, ideal_standalone_cycles);
-  }
-  double cte_vs_sempe() const { return ratio(cte_cycles, sempe_cycles); }
-
-  static double ratio(Cycle a, Cycle b) {
-    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
-  }
-};
-
-/// Run all configurations for one (kind, W) point. All secret values are
-/// false at run time (the baseline skips every guarded workload, which is
-/// what makes the Fig. 10 slowdown ~ W+1).
-MicrobenchPoint measure_microbench(workloads::Kind kind, usize width,
-                                   const MicrobenchOptions& opt = {});
 
 /// The result check of one mode's run: which run diverged from the
 /// host-computed expectations, and where.
@@ -78,9 +40,10 @@ struct ModeResultCheck {
 
 /// One registry-resolved workload spec, timed across the full mode matrix:
 /// the secure binary on the legacy core (baseline) and the SeMPE core, and
-/// — when the generator has one — the CTE binary on the legacy core. Every
-/// run's merged results are probed and checked against the host-computed
-/// expectations, and against each other across modes.
+/// — when the generator has one — the CTE binary on the legacy core. A
+/// legacy-only point has the baseline run alone (its SeMPE and CTE fields
+/// stay zero). Every run's merged results are probed and checked against
+/// the host-computed expectations, and against each other across modes.
 struct WorkloadPoint {
   std::string spec;        // canonical spec (every parameter resolved)
   bool has_cte = false;    // generator provides a CTE variant
@@ -98,11 +61,11 @@ struct WorkloadPoint {
   u64 sempe_instructions = 0;
   u64 cte_instructions = 0;
 
-  double sempe_slowdown() const {
-    return MicrobenchPoint::ratio(sempe_cycles, baseline_cycles);
-  }
-  double cte_slowdown() const {
-    return MicrobenchPoint::ratio(cte_cycles, baseline_cycles);
+  double sempe_slowdown() const { return ratio(sempe_cycles, baseline_cycles); }
+  double cte_slowdown() const { return ratio(cte_cycles, baseline_cycles); }
+  /// a / b, or 0 when b is 0.
+  static double ratio(Cycle a, Cycle b) {
+    return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
   }
   /// nullptr when the mode was not run (e.g. "cte" without a variant).
   const ModeResultCheck* check(const std::string& mode) const;
@@ -110,11 +73,12 @@ struct WorkloadPoint {
   std::string mismatch_summary() const;
 };
 
-/// Resolve `spec` through the workload registry and measure it. The
-/// machine knobs of `opt` apply to every run; its iterations/size fields
-/// are ignored (the spec's own parameters control workload shape).
+/// Resolve `spec` through the workload registry and measure it, with the
+/// machine knobs of `opt` applied to every run. `legacy_only` runs the
+/// baseline alone.
 WorkloadPoint measure_workload(const std::string& spec,
-                               const MicrobenchOptions& opt = {});
+                               const MachineOptions& opt = {},
+                               bool legacy_only = false);
 
 /// One registry-resolved workload spec swept over the secret space: the
 /// leakage audit (security/audit.h) packaged as a batch-runner point.

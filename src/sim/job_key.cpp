@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "util/check.h"
-#include "workloads/kernels.h"
 #include "workloads/registry.h"
 
 namespace sempe::sim {
@@ -54,27 +53,14 @@ void append_u64(std::string& out, const char* key, u64 v) {
   out += std::to_string(v);
 }
 
-/// The MicrobenchOptions fields measure_workload reads —
-/// the machine knobs. iterations/size/input_seed are spec-controlled for
-/// registry workloads and must NOT perturb their keys.
-std::string machine_knobs_text(const MicrobenchOptions& opt) {
+/// The machine knobs, every one of which shapes a timing point.
+std::string machine_text(const MachineOptions& opt) {
   std::string out;
   append_u64(out, "snapshot_model", static_cast<u64>(opt.snapshot_model));
   append_u64(out, "spm_bytes_per_cycle", opt.spm_bytes_per_cycle);
   append_u64(out, "enable_prefetchers", opt.enable_prefetchers ? 1 : 0);
   append_u64(out, "extra_front_end_depth", opt.extra_front_end_depth);
   append_u64(out, "rename_width_override", opt.rename_width_override);
-  return out;
-}
-
-/// Full MicrobenchOptions text — measure_microbench reads every field.
-std::string machine_full_text(const MicrobenchOptions& opt) {
-  std::string out;
-  append_u64(out, "iterations", opt.iterations);
-  append_u64(out, "size", opt.size);
-  append_u64(out, "input_seed", opt.input_seed);
-  out += ' ';
-  out += machine_knobs_text(opt);
   return out;
 }
 
@@ -97,14 +83,9 @@ std::string audit_text(const security::AuditOptions& opt) {
 
 }  // namespace
 
-KeyText MicrobenchFamily::key(const Job& j) {
-  return {std::string("kind=") + workloads::kind_name(j.kind) +
-              "&width=" + std::to_string(j.width),
-          machine_full_text(j.opt)};
-}
-
 KeyText WorkloadFamily::key(const Job& j) {
-  return {canonical_spec_key(j.spec), machine_knobs_text(j.opt)};
+  return {canonical_spec_key(j.spec), machine_text(j.opt),
+          j.legacy_only ? "legacy" : ""};
 }
 
 KeyText LeakageFamily::key(const Job& j) {

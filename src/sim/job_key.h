@@ -12,9 +12,8 @@
 // includes:
 //   - job labels (cosmetic; the JSON emitters take labels from the job
 //     list, never from cached points);
-//   - options the measurement never reads (measure_workload ignores
-//     iterations/size/input_seed; AuditOptions::progress steers stderr
-//     only);
+//   - options the measurement never reads (AuditOptions::progress steers
+//     stderr only);
 //   - thread count, shard assignment, cache/journal paths — the
 //     byte-identity contract says those cannot change results.
 //
@@ -51,16 +50,18 @@ struct JobIdentity {
   std::string key() const;
 };
 
-/// The identity of one job of a family: the row's key text
-/// under its family name and mode list. `fingerprint` is normally
+/// The identity of one job of a family: the row's key text under its
+/// family name and mode list (or the narrower list the key text names,
+/// e.g. a legacy-only workload job's "legacy"). `fingerprint` is normally
 /// sempe::code_fingerprint(); tests substitute synthetic values to prove
 /// stale-entry behavior.
 template <typename F>
 JobIdentity job_identity(const typename F::Job& job,
                          const std::string& fingerprint) {
   KeyText text = F::key(job);
-  return {F::kName,  std::move(text.spec), std::move(text.machine),
-          F::kModes, kResultSchemaVersion, fingerprint};
+  if (text.modes.empty()) text.modes = F::kModes;
+  return {F::kName, std::move(text.spec), std::move(text.machine),
+          std::move(text.modes), kResultSchemaVersion, fingerprint};
 }
 
 }  // namespace sempe::sim

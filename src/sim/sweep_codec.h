@@ -227,19 +227,6 @@ void fields(auto& v, Of<security::WorkloadLint> auto& l) {
   v.sub("cte.", l.cte);
 }
 
-void fields(auto& v, Of<MicrobenchPoint> auto& p) {
-  v("kind", p.kind, workloads::Kind::kQueens);
-  v("width", p.width);
-  v("baseline_cycles", p.baseline_cycles);
-  v("sempe_cycles", p.sempe_cycles);
-  v("cte_cycles", p.cte_cycles);
-  v("ideal_combined_cycles", p.ideal_combined_cycles);
-  v("ideal_standalone_cycles", p.ideal_standalone_cycles);
-  v("baseline_instructions", p.baseline_instructions);
-  v("sempe_instructions", p.sempe_instructions);
-  v("cte_instructions", p.cte_instructions);
-}
-
 void fields(auto& v, Of<WorkloadPoint> auto& p) {
   v("spec", p.spec);
   v("has_cte", p.has_cte);

@@ -8,7 +8,6 @@
 #include "util/check.h"
 #include "workloads/attack.h"
 #include "workloads/djpeg.h"
-#include "workloads/microbench.h"
 #include "workloads/scenarios.h"
 #include "workloads/synthetic.h"
 
@@ -222,6 +221,41 @@ void append_harness_params(std::vector<ParamInfo>& out) {
 // Built-in generators
 // ---------------------------------------------------------------------------
 
+/// The harness-facing form of one microbenchmark kernel.
+KernelSpec microbench_kernel_spec(Kind kind, usize size, u64 input_seed) {
+  KernelSpec s;
+  s.name = std::string("micro.") + kind_name(kind);
+  s.size = size;
+  s.input = make_input(kind, size, input_seed);
+  s.buf_words = kernel_buf_words(kind, size);
+  s.aux_words = kernel_aux_words(kind, size);
+  s.expected = expected_checksum(kind, size, s.input);
+  s.emit = [kind](isa::ProgramBuilder& pb, const KernelParams& p) {
+    emit_kernel(pb, kind, p);
+  };
+  s.emit_cte = [kind](isa::ProgramBuilder& pb, const KernelParams& p) {
+    emit_kernel_cte(pb, kind, p);
+  };
+  return s;
+}
+
+// The microbenchmark of Figure 7: I iterations of W nested secret-dependent
+// conditionals, each guarding one kernel body (workloads/kernels.h), with
+// body W+1 executing unconditionally after the nest.
+//
+//   for (i = 0; i < I; i++) {
+//     if (s1) { workload1;
+//       if (s2) { workload2;
+//         ... if (sW) { workloadW } ... } }
+//     workload_{W+1};
+//   }
+//
+// kSecure builds the sJMP-annotated binary, kCte the FaCT-style
+// constant-time version. The CTE transform is *optimistic* (a linear guard
+// chain rather than the canonical expansion of Fig. 2b), so CTE costs
+// measured here are a lower bound — comparisons favor CTE. width=0 builds
+// the loop with only body W+1: one path, the unit of the standalone
+// sum-of-paths ideal (Fig. 10b).
 class MicrobenchGenerator final : public WorkloadGenerator {
  public:
   explicit MicrobenchGenerator(Kind kind) : kind_(kind) {}

@@ -6,17 +6,13 @@
 #include "sim/batch_runner.h"
 #include "sim/simulator.h"
 #include "util/check.h"
-#include "workloads/microbench.h"
+#include "workloads/registry.h"
 
 namespace sempe {
 namespace {
 
 using sim::BatchCli;
-using Family = sim::MicrobenchFamily;
-using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
-using sim::MicrobenchPoint;
-using workloads::Kind;
+using Family = sim::WorkloadFamily;
 
 /// Sweep options with only the worker count set.
 sim::SweepOptions on_threads(usize n) {
@@ -89,10 +85,14 @@ TEST(BatchCli, BareJsonMeansStdout) {
 }
 
 // Fast sweep used by the determinism checks.
-std::vector<MicrobenchJob> small_grid() {
-  MicrobenchOptions opt;
-  opt.iterations = 4;
-  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, opt);
+std::vector<sim::WorkloadJob> small_grid() {
+  std::vector<sim::WorkloadJob> jobs;
+  for (const char* kind : {"ones", "fibonacci"})
+    for (const char* w : {"1", "2"})
+      jobs.push_back({std::string(kind) + "/W=" + w,
+                      std::string("micro.") + kind + "?width=" + w +
+                          "&iters=4&secrets=0"});
+  return jobs;
 }
 
 TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
@@ -107,7 +107,8 @@ TEST(BatchRunner, JsonIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(j1, j2);
   EXPECT_EQ(j1, j8);
   // Sanity: results are real, not all-zero placeholders.
-  for (const MicrobenchPoint& p : r1.points) {
+  for (const sim::WorkloadPoint& p : r1.points) {
+    EXPECT_TRUE(p.results_ok) << p.spec;
     EXPECT_GT(p.baseline_cycles, 0u);
     EXPECT_GT(p.sempe_cycles, 0u);
   }
@@ -128,14 +129,14 @@ TEST(BatchRunner, JsonOpensWithMetadataHeader) {
   EXPECT_LT(meta_at, points_at);
   EXPECT_NE(j.find("\"schema_version\": 4"), std::string::npos);
   EXPECT_NE(j.find("\"experiment\": \"header\""), std::string::npos);
-  EXPECT_NE(j.find("\"workload\": \"microbench\""), std::string::npos);
-  EXPECT_NE(j.find("\"modes\": \"legacy,sempe,cte,ideal\""),
+  EXPECT_NE(j.find("\"workload\": \"micro.ones,micro.fibonacci\""),
             std::string::npos);
+  EXPECT_NE(j.find("\"modes\": \"legacy,sempe,cte\""), std::string::npos);
   EXPECT_NE(j.find("\"threads\": 0"), std::string::npos);
 }
 
 TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
-  sim::MicrobenchOptions opt;
+  sim::MachineOptions opt;
   const auto jobs = sim::workload_grid(
       {"synthetic.stream?size=24&iters=2",
        "synthetic.ilp?size=6&chains=2&depth=3&iters=2&width=2",
@@ -161,35 +162,47 @@ TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
   }
 }
 
-TEST(BatchRunner, IdealStandaloneIsWidthPlusOneTimesSingleRun) {
-  // The invariant from sim/experiment.cpp: ideal_standalone = (W+1) * t1,
-  // where t1 is the legacy-mode run of the width-0 (single workload)
-  // build. Recompute t1 independently and compare.
-  MicrobenchOptions opt;
-  opt.iterations = 4;
-  const usize width = 3;
-  const MicrobenchPoint pt =
-      sim::measure_microbench(Kind::kOnes, width, opt);
-
-  workloads::MicrobenchConfig single;
-  single.kind = Kind::kOnes;
-  single.width = 0;
-  single.iterations = opt.iterations;
-  single.size = opt.size;
-  single.input_seed = opt.input_seed;
-  single.variant = workloads::Variant::kSecure;
-  const auto built = build_microbench(single);
-
-  sim::RunConfig rc;
-  rc.core.mode = cpu::ExecMode::kLegacy;
-  rc.record_observations = false;
-  rc.core.snapshot_model = opt.snapshot_model;
-  rc.pipe.spm_bytes_per_cycle = opt.spm_bytes_per_cycle;
-  rc.pipe.memory.enable_prefetchers = opt.enable_prefetchers;
-  const Cycle t1 = sim::run(built.program, rc).cycles();
-
-  EXPECT_GT(t1, 0u);
-  EXPECT_EQ(pt.ideal_standalone_cycles, (width + 1) * t1);
+TEST(BatchRunner, IdealJobsAreIndependentLegacyRuns) {
+  // Fig. 10b's ideals are legacy-only workload jobs: ideal-combined is the
+  // legacy run of the all-secrets-true build, and ideal-standalone is
+  // (W+1) x t1, where t1 is the legacy run of the width-0 build. Each
+  // job's baseline must be exactly an independent run of that build under
+  // the job's machine knobs, and no other mode may run.
+  sim::MachineOptions opt;
+  opt.enable_prefetchers = false;  // a non-default knob must reach the run
+  const std::vector<sim::WorkloadJob> jobs = {
+      {"ones/W=3", "micro.ones?width=3&iters=4&secrets=0", opt},
+      {"ones/W=3/ideal-combined", "micro.ones?width=3&iters=4&secrets=1", opt,
+       /*legacy_only=*/true},
+      {"ones/ideal-standalone", "micro.ones?width=0&iters=4", opt,
+       /*legacy_only=*/true},
+  };
+  const auto run = sim::run_sweep<Family>(jobs, on_threads(2));
+  const auto& full = run.points[0];
+  ASSERT_TRUE(full.results_ok) << full.mismatch_summary();
+  for (usize k = 1; k < jobs.size(); ++k) {
+    const sim::WorkloadPoint& pt = run.points[k];
+    const workloads::BuiltWorkload built =
+        workloads::WorkloadRegistry::instance().build(
+            jobs[k].spec, workloads::Variant::kSecure);
+    sim::RunConfig rc;
+    rc.core.mode = cpu::ExecMode::kLegacy;
+    rc.record_observations = false;
+    rc.pipe.memory.enable_prefetchers = false;
+    const Cycle t = sim::run(built.program, rc).cycles();
+    EXPECT_GT(t, 0u);
+    EXPECT_EQ(pt.baseline_cycles, t) << jobs[k].label;
+    EXPECT_TRUE(pt.results_ok) << pt.mismatch_summary();
+    ASSERT_EQ(pt.checks.size(), 1u) << jobs[k].label;
+    EXPECT_EQ(pt.checks[0].mode, "legacy");
+    EXPECT_EQ(pt.sempe_cycles, 0u);
+    EXPECT_EQ(pt.cte_cycles, 0u);
+  }
+  // Every path executes once in the combined run, so it costs more than
+  // the all-false baseline; the width-0 run has one path and no nest, so
+  // it costs less.
+  EXPECT_GT(run.points[1].baseline_cycles, full.baseline_cycles);
+  EXPECT_LT(run.points[2].baseline_cycles, full.baseline_cycles);
 }
 
 }  // namespace

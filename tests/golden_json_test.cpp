@@ -113,7 +113,7 @@ TEST(GoldenJson, BenchSyntheticSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = workload_grid(specs, MicrobenchOptions{});
+  const auto jobs = workload_grid(specs, MachineOptions{});
   const std::string json = sweep_json<WorkloadFamily>(
       "synthetic", jobs, run_sweep<WorkloadFamily>(jobs, on_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
@@ -173,7 +173,7 @@ TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
   // the golden file covers the real sweep and the --threads byte-identity
   // guarantee is asserted here, not just in CI.
   const auto jobs =
-      workload_grid(workloads::scenario_sweep_specs(1), MicrobenchOptions{});
+      workload_grid(workloads::scenario_sweep_specs(1), MachineOptions{});
   const auto run1 = run_sweep<WorkloadFamily>(jobs, on_threads(1));
   const std::string j1 = sweep_json<WorkloadFamily>("scenarios", jobs, run1);
   const std::string j4 = sweep_json<WorkloadFamily>(
@@ -195,7 +195,7 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = workload_grid(specs, MicrobenchOptions{});
+  const auto jobs = workload_grid(specs, MachineOptions{});
   obs::Session::Options opt;
   opt.metrics = true;
   obs::Session session(opt);
@@ -241,22 +241,29 @@ security::AuditOptions two_samples() {
   return opt;
 }
 
-TEST(GoldenJson, OrchestrationMicrobenchValuesArePinned) {
-  MicrobenchOptions opt;
-  opt.iterations = 2;
-  check_golden("orch_microbench.golden",
-               orchestration_record<MicrobenchFamily>(microbench_grid(
-                   {workloads::Kind::kOnes, workloads::Kind::kFibonacci},
-                   {1, 2}, opt)));
-}
-
 TEST(GoldenJson, OrchestrationWorkloadValuesArePinned) {
-  // Two small Fig. 8/9 djpeg points ride along with the synthetic ones.
+  // Two small Fig. 8/9 djpeg points ride along with the synthetic ones,
+  // then Fig. 10's micro.* points: full jobs at W=1,2, and the legacy-only
+  // ideal jobs of Fig. 10b — all secrets true, and the shared width-0 run.
   std::vector<std::string> specs = two_synthetic_specs();
   specs.push_back("djpeg?format=ppm&pixels=4096&scale=16");
   specs.push_back("djpeg?format=bmp&pixels=4096&scale=16");
+  for (const char* kind : {"ones", "fibonacci"})
+    for (const char* w : {"1", "2"})
+      specs.push_back(std::string("micro.") + kind + "?width=" + w +
+                      "&iters=2&secrets=0");
+  std::vector<WorkloadJob> jobs = workload_grid(specs, {});
+  for (const char* kind : {"ones", "fibonacci"}) {
+    std::vector<std::string> ideals;
+    for (const char* w : {"1", "2"})
+      ideals.push_back(std::string("micro.") + kind + "?width=" + w +
+                       "&iters=2&secrets=1");
+    ideals.push_back(std::string("micro.") + kind + "?width=0&iters=2");
+    for (const std::string& spec : ideals)
+      jobs.push_back({"legacy:" + spec, spec, {}, /*legacy_only=*/true});
+  }
   check_golden("orch_workload.golden",
-               orchestration_record<WorkloadFamily>(workload_grid(specs, {})));
+               orchestration_record<WorkloadFamily>(jobs));
 }
 
 TEST(GoldenJson, OrchestrationLeakageValuesArePinned) {

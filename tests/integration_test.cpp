@@ -15,20 +15,24 @@ namespace {
 
 using workloads::Kind;
 
-MicrobenchOptions fast_opts() {
-  MicrobenchOptions o;
-  o.iterations = 3;
-  o.size = 0;  // per-kind defaults (note: size is N for queens — keep small)
-  return o;
+/// micro.<kind> at nesting depth `w` with the spec parameters `params`
+/// (by default all secrets false, the Fig. 10 convention), result-checked;
+/// `legacy_only` runs the baseline alone, as the ideal jobs do.
+WorkloadPoint micro(Kind kd, usize w,
+                    const std::string& params = "iters=3&secrets=0",
+                    bool legacy_only = false) {
+  const WorkloadPoint pt = measure_workload(
+      std::string("micro.") + workloads::kind_name(kd) +
+          "?width=" + std::to_string(w) + "&" + params,
+      {}, legacy_only);
+  EXPECT_TRUE(pt.results_ok) << pt.spec << ": " << pt.mismatch_summary();
+  return pt;
 }
 
 TEST(Experiment, SempeSlowdownTracksPathCount) {
   // Fig. 10a's core shape: SeMPE slowdown ~ W+1.
-  MicrobenchOptions o;
-  o.iterations = 4;
-  o.size = 60;
   for (usize w : {usize{1}, usize{3}}) {
-    const auto pt = measure_microbench(Kind::kFibonacci, w, o);
+    const auto pt = micro(Kind::kFibonacci, w, "iters=4&size=60&secrets=0");
     const double s = pt.sempe_slowdown();
     EXPECT_GT(s, 0.6 * static_cast<double>(w + 1)) << "W=" << w;
     EXPECT_LT(s, 2.0 * static_cast<double>(w + 1)) << "W=" << w;
@@ -38,32 +42,36 @@ TEST(Experiment, SempeSlowdownTracksPathCount) {
 TEST(Experiment, CteSlowerThanSempe) {
   // Fig. 10a: CTE (dashed) above SeMPE (solid) for every workload.
   for (Kind kd : {Kind::kOnes, Kind::kQuicksort, Kind::kQueens}) {
-    const auto pt = measure_microbench(kd, 2, fast_opts());
+    const auto pt = micro(kd, 2);
     EXPECT_GT(pt.cte_cycles, pt.sempe_cycles) << workloads::kind_name(kd);
   }
 }
 
 TEST(Experiment, QueensIsCtesWorstCase) {
-  const auto fib = measure_microbench(Kind::kFibonacci, 1, fast_opts());
-  const auto queens = measure_microbench(Kind::kQueens, 1, fast_opts());
-  EXPECT_GT(queens.cte_vs_sempe(), fib.cte_vs_sempe());
+  const auto cte_vs_sempe = [](const WorkloadPoint& pt) {
+    return WorkloadPoint::ratio(pt.cte_cycles, pt.sempe_cycles);
+  };
+  EXPECT_GT(cte_vs_sempe(micro(Kind::kQueens, 1)),
+            cte_vs_sempe(micro(Kind::kFibonacci, 1)));
 }
 
 TEST(Experiment, SempeNearIdeal) {
-  // Fig. 10b: SeMPE over the combined ideal stays close to 1.
-  MicrobenchOptions o;
-  o.iterations = 4;
-  o.size = 60;
-  const auto pt = measure_microbench(Kind::kFibonacci, 3, o);
-  EXPECT_GT(pt.sempe_vs_ideal_combined(), 0.9);
-  EXPECT_LT(pt.sempe_vs_ideal_combined(), 1.8);
+  // Fig. 10b: SeMPE over the combined ideal (the legacy-only run with
+  // every secret true) stays close to 1.
+  const auto pt = micro(Kind::kFibonacci, 3, "iters=4&size=60&secrets=0");
+  const auto ideal =
+      micro(Kind::kFibonacci, 3, "iters=4&size=60&secrets=1", true);
+  const double r = WorkloadPoint::ratio(pt.sempe_cycles, ideal.baseline_cycles);
+  EXPECT_GT(r, 0.9);
+  EXPECT_LT(r, 1.8);
 }
 
 TEST(Experiment, BaselineCheaperThanEverything) {
-  const auto pt = measure_microbench(Kind::kOnes, 2, fast_opts());
+  const auto pt = micro(Kind::kOnes, 2);
   EXPECT_LT(pt.baseline_cycles, pt.sempe_cycles);
   EXPECT_LT(pt.baseline_cycles, pt.cte_cycles);
-  EXPECT_LT(pt.baseline_cycles, pt.ideal_combined_cycles);
+  EXPECT_LT(pt.baseline_cycles,
+            micro(Kind::kOnes, 2, "iters=3&secrets=1", true).baseline_cycles);
 }
 
 /// Fig. 8's SeMPE overhead for one (format, pixels) cell, measured through

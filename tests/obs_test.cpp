@@ -263,7 +263,7 @@ TEST(Session, MetricsReportIsThreadCountInvariant) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = sim::workload_grid(specs, sim::MicrobenchOptions{});
+  const auto jobs = sim::workload_grid(specs, sim::MachineOptions{});
   const auto sweep = [&](usize threads) {
     Session::Options opt;
     opt.metrics = true;

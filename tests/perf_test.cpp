@@ -19,7 +19,7 @@ namespace {
 using mem::Cache;
 using mem::CacheConfig;
 using mem::CacheStat;
-using sim::MicrobenchOptions;
+using sim::MachineOptions;
 
 // ---------------------------------------------------------------------------
 // Counter-refactor equivalence.
@@ -61,7 +61,7 @@ TEST(CounterEquivalence, RegistrySweepNamedViewMatchesFixedSlots) {
        {"synthetic.cond_branch?width=2&iters=2&secrets=1",
         "crypto.aes?width=1&iters=2&secrets=1",
         "ds.hash_probe?width=1&iters=2&secrets=0"}) {
-    const auto pt = sim::measure_workload(spec, MicrobenchOptions{});
+    const auto pt = sim::measure_workload(spec, MachineOptions{});
     ASSERT_TRUE(pt.results_ok) << spec << ": " << pt.mismatch_summary();
   }
   // Direct run to reach the stats objects themselves.

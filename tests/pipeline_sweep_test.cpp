@@ -4,23 +4,20 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
-#include "workloads/microbench.h"
+#include "workloads/registry.h"
 
 namespace sempe {
 namespace {
 
-using workloads::BuiltMicrobench;
-using workloads::Kind;
-using workloads::MicrobenchConfig;
+using workloads::BuiltWorkload;
 
-BuiltMicrobench bench_prog() {
-  MicrobenchConfig cfg;
-  cfg.kind = Kind::kQuicksort;
-  cfg.width = 2;
-  cfg.iterations = 3;
-  cfg.size = 24;
-  cfg.secrets = {1, 0};
-  return build_microbench(cfg);
+BuiltWorkload build(const std::string& spec) {
+  return workloads::WorkloadRegistry::instance().build(
+      spec, workloads::Variant::kSecure);
+}
+
+BuiltWorkload bench_prog() {
+  return build("micro.quicksort?size=24&width=2&iters=3&secrets=10");
 }
 
 Cycle cycles_with(const isa::Program& p, cpu::ExecMode mode,
@@ -84,16 +81,11 @@ TEST_P(ResourceSweep, SecurityHoldsAtEveryDesignPoint) {
   const Knob& k = kKnobs[GetParam()];
   pipeline::PipelineConfig small;
   k.shrink(small);
-  MicrobenchConfig cfg;
-  cfg.kind = Kind::kOnes;
-  cfg.width = 2;
-  cfg.iterations = 2;
-  cfg.size = 12;
   Cycle c[2];
   int i = 0;
-  for (u8 s : {u8{0}, u8{1}}) {
-    cfg.secrets.assign(2, s);
-    const auto b = build_microbench(cfg);
+  for (const char* s : {"0", "1"}) {
+    const auto b =
+        build(std::string("micro.ones?size=12&width=2&iters=2&secrets=") + s);
     c[i++] = cycles_with(b.program, cpu::ExecMode::kSempe, small);
   }
   EXPECT_EQ(c[0], c[1]) << k.name;

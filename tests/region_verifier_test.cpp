@@ -3,7 +3,7 @@
 #include "core/region_verifier.h"
 #include "isa/program_builder.h"
 #include "workloads/djpeg.h"
-#include "workloads/microbench.h"
+#include "workloads/registry.h"
 
 namespace sempe::core {
 namespace {
@@ -179,12 +179,11 @@ TEST(RegionVerifier, GeneratedMicrobenchmarksVerifyClean) {
   using namespace workloads;
   for (Kind kd : {Kind::kFibonacci, Kind::kOnes, Kind::kQuicksort,
                   Kind::kQueens}) {
-    MicrobenchConfig cfg;
-    cfg.kind = kd;
-    cfg.width = 3;
-    cfg.iterations = 1;
-    cfg.size = kd == Kind::kQueens ? 4 : 8;
-    const auto built = build_microbench(cfg);
+    const std::string spec = std::string("micro.") + kind_name(kd) +
+                             "?width=3&iters=1&secrets=0&size=" +
+                             (kd == Kind::kQueens ? "4" : "8");
+    const auto built =
+        WorkloadRegistry::instance().build(spec, Variant::kSecure);
     VerifyOptions opt;
     opt.allow_div = true;
     const auto r = verify_secure_regions(built.program, opt);

@@ -4,27 +4,24 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.h"
-#include "workloads/microbench.h"
+#include "workloads/registry.h"
 
 namespace sempe {
 namespace {
 
 using cpu::SnapshotModel;
-using workloads::BuiltMicrobench;
-using workloads::Kind;
-using workloads::MicrobenchConfig;
+using workloads::BuiltWorkload;
 
-BuiltMicrobench small_bench() {
-  MicrobenchConfig cfg;
-  cfg.kind = Kind::kQuicksort;
-  cfg.width = 2;
-  cfg.iterations = 2;
-  cfg.size = 12;
-  cfg.secrets = {1, 0};
-  return build_microbench(cfg);
+BuiltWorkload build(const std::string& spec) {
+  return workloads::WorkloadRegistry::instance().build(
+      spec, workloads::Variant::kSecure);
 }
 
-sim::RunResult run_model(const BuiltMicrobench& b, SnapshotModel m) {
+BuiltWorkload small_bench() {
+  return build("micro.quicksort?size=12&width=2&iters=2&secrets=10");
+}
+
+sim::RunResult run_model(const BuiltWorkload& b, SnapshotModel m) {
   sim::RunConfig rc;
   rc.core.mode = cpu::ExecMode::kSempe;
   rc.core.snapshot_model = m;
@@ -81,16 +78,11 @@ TEST(SnapshotTraffic, LrsAvoidsTheEagerSave) {
 TEST(SnapshotTraffic, ArchRsTrafficSecretIndependent) {
   // Same program, different secrets: identical SPM byte counts (the
   // constant-time restore property at the traffic level).
-  MicrobenchConfig cfg;
-  cfg.kind = Kind::kFibonacci;
-  cfg.width = 3;
-  cfg.iterations = 2;
-  cfg.size = 16;
   u64 bytes[2];
   int i = 0;
-  for (u8 s : {u8{0}, u8{1}}) {
-    cfg.secrets.assign(3, s);
-    const auto b = build_microbench(cfg);
+  for (const char* s : {"0", "1"}) {
+    const auto b = build(
+        std::string("micro.fibonacci?size=16&width=3&iters=2&secrets=") + s);
     bytes[i++] = run_model(b, SnapshotModel::kArchRS).stats.spm_bytes;
   }
   EXPECT_EQ(bytes[0], bytes[1]);

@@ -29,13 +29,11 @@ namespace fs = std::filesystem;
 using sim::BatchCli;
 using sim::JobIdentity;
 using sim::LeakageFamily;
-using sim::MicrobenchFamily;
-using sim::MicrobenchJob;
-using sim::MicrobenchOptions;
 using sim::SweepCache;
 using sim::SweepJournal;
 using sim::SweepOptions;
-using workloads::Kind;
+using sim::WorkloadFamily;
+using sim::WorkloadJob;
 
 /// The cache key of `job` as family F under fingerprint `fp`.
 template <typename F>
@@ -79,21 +77,20 @@ TEST(JobKey, PermutedSpecParamsShareOneKey) {
 }
 
 TEST(JobKey, LabelIsCosmetic) {
-  MicrobenchJob a;
+  WorkloadJob a;
   a.label = "one";
-  a.kind = Kind::kOnes;
-  a.width = 2;
-  MicrobenchJob b = a;
+  a.spec = "micro.ones?width=2&iters=2&secrets=0";
+  WorkloadJob b = a;
   b.label = "two";
-  EXPECT_EQ(key<MicrobenchFamily>(a), key<MicrobenchFamily>(b));
+  EXPECT_EQ(key<WorkloadFamily>(a), key<WorkloadFamily>(b));
 }
 
 TEST(JobKey, EveryIdentityFieldChangesTheKey) {
-  const JobIdentity base{"microbench", "ones?width=2", "spm=64", "legacy,sempe",
-                         1, "fp"};
+  const JobIdentity base{"workload", "micro.ones?width=2", "spm=64",
+                         "legacy,sempe", 1, "fp"};
   std::vector<JobIdentity> variants(6, base);
   variants[0].family = "djpeg";
-  variants[1].spec = "ones?width=3";
+  variants[1].spec = "micro.ones?width=3";
   variants[2].machine = "spm=128";
   variants[3].modes = "legacy,sempe,cte";
   variants[4].schema_version = 2;
@@ -107,40 +104,63 @@ TEST(JobKey, EveryIdentityFieldChangesTheKey) {
 }
 
 TEST(JobKey, MachineKnobsAndGridCoordinatesChangeTheKey) {
-  MicrobenchJob base;
-  base.kind = Kind::kOnes;
-  base.width = 2;
-  const std::string k0 = key<MicrobenchFamily>(base);
+  WorkloadJob base;
+  base.spec = "micro.ones?width=2&iters=2&secrets=0";
+  const std::string k0 = key<WorkloadFamily>(base);
 
-  MicrobenchJob v = base;
-  v.kind = Kind::kFibonacci;
-  EXPECT_NE(key<MicrobenchFamily>(v), k0);
+  WorkloadJob v = base;
+  v.spec = "micro.fibonacci?width=2&iters=2&secrets=0";
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
+  v.spec = "micro.ones?width=3&iters=2&secrets=0";
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
+  v.spec = "micro.ones?width=2&iters=3&secrets=0";
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
   v = base;
-  v.width = 3;
-  EXPECT_NE(key<MicrobenchFamily>(v), k0);
+  v.opt.snapshot_model = cpu::SnapshotModel::kLRS;
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
   v = base;
   v.opt.spm_bytes_per_cycle *= 2;
-  EXPECT_NE(key<MicrobenchFamily>(v), k0);
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
   v = base;
   v.opt.enable_prefetchers = !v.opt.enable_prefetchers;
-  EXPECT_NE(key<MicrobenchFamily>(v), k0);
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
   v = base;
-  v.opt.iterations += 1;  // microbench results DO depend on iterations
-  EXPECT_NE(key<MicrobenchFamily>(v), k0);
-  EXPECT_NE(key<MicrobenchFamily>(base, "fp2"), k0);
+  v.opt.extra_front_end_depth = 1;
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
+  v = base;
+  v.opt.rename_width_override = 4;
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
+  v = base;
+  v.legacy_only = true;
+  EXPECT_NE(key<WorkloadFamily>(v), k0);
+  EXPECT_NE(key<WorkloadFamily>(base, "fp2"), k0);
+}
+
+TEST(JobKey, LegacyOnlyJobsNarrowTheModeLineAlone) {
+  // A legacy-only job (a Fig. 10b ideal) never shares a cache entry with
+  // the full job of its spec, and the full job's key text is exactly the
+  // text every earlier cache entry of that spec was keyed by.
+  WorkloadJob full;
+  full.label = "ones/W=1";
+  full.spec = "micro.ones?width=1&iters=2&secrets=0";
+  WorkloadJob legacy = full;
+  legacy.legacy_only = true;
+  const std::string machine =
+      "machine=snapshot_model=0 spm_bytes_per_cycle=64 enable_prefetchers=1 "
+      "extra_front_end_depth=0 rename_width_override=0\n";
+  const std::string head =
+      "family=workload\nspec=micro.ones?iters=2&secrets=0&width=1\n" +
+      machine;
+  const std::string tail = "schema=4\nfingerprint=fp\n";
+  EXPECT_EQ(sim::job_identity<WorkloadFamily>(full, "fp").canonical_text(),
+            head + "modes=legacy,sempe,cte\n" + tail);
+  EXPECT_EQ(sim::job_identity<WorkloadFamily>(legacy, "fp").canonical_text(),
+            head + "modes=legacy\n" + tail);
+  EXPECT_NE(key<WorkloadFamily>(full), key<WorkloadFamily>(legacy));
 }
 
 TEST(JobKey, OptionsTheMeasurementIgnoresAreExcluded) {
-  // measure_workload ignores iterations/size/input_seed (the spec carries
-  // them); AuditOptions::progress only steers stderr.
-  sim::WorkloadJob w;
-  w.spec = "synthetic.cond_branch?width=2";
-  sim::WorkloadJob w2 = w;
-  w2.opt.iterations += 7;
-  w2.opt.size = 12345;
-  w2.opt.input_seed = 99;
-  EXPECT_EQ(key<sim::WorkloadFamily>(w), key<sim::WorkloadFamily>(w2));
-
+  // AuditOptions::progress only steers stderr.
   sim::LeakageJob l;
   l.spec = "synthetic.cond_branch?width=2";
   sim::LeakageJob l2 = l;
@@ -240,10 +260,9 @@ TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
 }
 
 TEST(JobKey, KeyIsSixteenHexDigits) {
-  MicrobenchJob j;
-  j.kind = Kind::kOnes;
-  j.width = 1;
-  const std::string k = key<MicrobenchFamily>(j);
+  WorkloadJob j;
+  j.spec = "micro.ones?width=1";
+  const std::string k = key<WorkloadFamily>(j);
   ASSERT_EQ(k.size(), 16u);
   for (const char c : k)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << k;
@@ -304,15 +323,19 @@ TEST_F(SweepStoreTest, JournalReplaysItsPrefixAndDetectsTruncation) {
 // points feed the byte-identity contract.
 
 TEST(SweepCodec, MicrobenchRoundTripIsExact) {
-  MicrobenchOptions opt;
-  opt.iterations = 2;
-  const auto pt = sim::measure_microbench(Kind::kFibonacci, 2, opt);
-  const std::string blob = sim::encode_point<MicrobenchFamily>(pt);
-  const auto back = sim::decode_point<MicrobenchFamily>(blob);
-  EXPECT_EQ(sim::encode_point<MicrobenchFamily>(back), blob);
-  EXPECT_EQ(back.sempe_cycles, pt.sempe_cycles);
-  EXPECT_EQ(back.width, pt.width);
-  EXPECT_EQ(back.kind, pt.kind);
+  // A full micro.* point and a legacy-only one (a Fig. 10b ideal).
+  for (const bool legacy_only : {false, true}) {
+    const auto pt = sim::measure_workload(
+        "micro.fibonacci?width=2&iters=2&secrets=0", {}, legacy_only);
+    ASSERT_TRUE(pt.results_ok) << pt.mismatch_summary();
+    const std::string blob = sim::encode_point<WorkloadFamily>(pt);
+    const auto back = sim::decode_point<WorkloadFamily>(blob);
+    EXPECT_EQ(sim::encode_point<WorkloadFamily>(back), blob);
+    EXPECT_EQ(back.spec, pt.spec);
+    EXPECT_EQ(back.baseline_cycles, pt.baseline_cycles);
+    EXPECT_EQ(back.sempe_cycles, pt.sempe_cycles);
+    EXPECT_EQ(back.checks.size(), legacy_only ? 1u : 3u);
+  }
 }
 
 TEST(SweepCodec, LeakageRoundTripPreservesTheFullAudit) {
@@ -458,53 +481,66 @@ TEST(SweepCodec, WorkloadStatsMatchDirectRunsAndRoundTrip) {
 }
 
 TEST(SweepCodec, CorruptBlobsThrow) {
-  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(""), SimError);
-  EXPECT_THROW(sim::decode_point<MicrobenchFamily>("not a point blob\n"),
+  EXPECT_THROW(sim::decode_point<WorkloadFamily>(""), SimError);
+  EXPECT_THROW(sim::decode_point<WorkloadFamily>("not a point blob\n"),
                SimError);
   // A valid header of the wrong family must fail loudly, not mis-decode.
-  MicrobenchOptions opt;
-  opt.iterations = 1;
-  const auto pt = sim::measure_microbench(Kind::kOnes, 1, opt);
-  const std::string blob = sim::encode_point<MicrobenchFamily>(pt);
-  EXPECT_THROW(sim::decode_point<sim::WorkloadFamily>(blob), SimError);
-  // A missing field or an out-of-range enum fails too.
+  const auto pt =
+      sim::measure_workload("micro.ones?width=1&iters=1&secrets=0");
+  const std::string blob = sim::encode_point<WorkloadFamily>(pt);
+  EXPECT_THROW(sim::decode_point<LeakageFamily>(blob), SimError);
+  // A missing field fails too.
   std::string truncated = blob.substr(0, blob.rfind("u cte_instructions"));
-  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(truncated), SimError);
-  std::string bad_kind = blob;
-  bad_kind.replace(bad_kind.find("u kind ") + 7, 1, "9");
-  EXPECT_THROW(sim::decode_point<MicrobenchFamily>(bad_kind), SimError);
+  EXPECT_THROW(sim::decode_point<WorkloadFamily>(truncated), SimError);
+  // So does an out-of-range enum.
+  security::AuditOptions opt;
+  opt.samples = 2;
+  const std::string audit = sim::encode_point<LeakageFamily>(
+      sim::measure_leakage("synthetic.cond_branch?size=32&width=1&iters=1",
+                           opt));
+  const std::string field = "u audit.modes.0.channels.0.channel ";
+  std::string bad_enum = audit;
+  const usize at = bad_enum.find(field);
+  ASSERT_NE(at, std::string::npos);
+  bad_enum.replace(at + field.size(), 1, "99");
+  EXPECT_NO_THROW(sim::decode_point<LeakageFamily>(audit));
+  EXPECT_THROW(sim::decode_point<LeakageFamily>(bad_enum), SimError);
 }
 
 // ---------------------------------------------------------------------------
 // Orchestrated sweeps: cache temperature, resume.
 
-std::vector<MicrobenchJob> small_grid() {
-  MicrobenchOptions opt;
-  opt.iterations = 2;
-  return sim::microbench_grid({Kind::kOnes, Kind::kFibonacci}, {1, 2}, opt);
+std::vector<WorkloadJob> small_grid() {
+  std::vector<WorkloadJob> jobs;
+  for (const char* kind : {"ones", "fibonacci"})
+    for (const char* w : {"1", "2"})
+      jobs.push_back({std::string(kind) + "/W=" + w,
+                      std::string("micro.") + kind + "?width=" + w +
+                          "&iters=2&secrets=0"});
+  return jobs;
 }
 
 class SweepOrchestrationTest : public TempDirTest {};
 
 TEST_F(SweepOrchestrationTest, WarmCacheIsByteIdenticalAndCounted) {
   const auto jobs = small_grid();
-  const std::string plain =
-      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
+  const std::string plain = sim::sweep_json<WorkloadFamily>(
+      "orch", jobs, sim::run_sweep<WorkloadFamily>(jobs, {}));
 
   SweepOptions opt;
   opt.threads = 2;
   opt.cache_dir = path("cache");
-  const auto cold = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto cold = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(cold.cache.hits, 0u);
   EXPECT_EQ(cold.cache.misses, jobs.size());
   EXPECT_EQ(cold.cache.stores, jobs.size());
-  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, cold), plain);
+  EXPECT_EQ(sim::sweep_json<WorkloadFamily>("orch", jobs, cold), plain);
 
-  const auto warm = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto warm = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(warm.cache.hits, jobs.size());
   EXPECT_EQ(warm.cache.misses, 0u);
   EXPECT_EQ(warm.cache.stores, 0u);
-  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, warm), plain);
+  EXPECT_EQ(sim::sweep_json<WorkloadFamily>("orch", jobs, warm), plain);
 }
 
 TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
@@ -515,10 +551,10 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
   SweepOptions before;
   before.cache_dir = path("cache");
   before.fingerprint = "build-one";
-  (void)sim::run_sweep<MicrobenchFamily>(jobs, before);
+  (void)sim::run_sweep<WorkloadFamily>(jobs, before);
   SweepOptions after = before;
   after.fingerprint = "build-two";
-  const auto rebuilt = sim::run_sweep<MicrobenchFamily>(jobs, after);
+  const auto rebuilt = sim::run_sweep<WorkloadFamily>(jobs, after);
   EXPECT_EQ(rebuilt.cache.hits, 0u);
   EXPECT_EQ(rebuilt.cache.misses, jobs.size());
   EXPECT_EQ(rebuilt.cache.stores, jobs.size());
@@ -527,40 +563,40 @@ TEST_F(SweepOrchestrationTest, StaleFingerprintEntriesAreReExecuted) {
   // under a MATCHING key but produced by a different build must be
   // reported stale and re-executed, never served.
   const SweepCache imposter(path("cache"), "some-other-build");
-  EXPECT_TRUE(imposter.store(key<MicrobenchFamily>(jobs[0], "build-two"),
+  EXPECT_TRUE(imposter.store(key<WorkloadFamily>(jobs[0], "build-two"),
                              "bogus payload\n"));
-  const auto poisoned = sim::run_sweep<MicrobenchFamily>(jobs, after);
+  const auto poisoned = sim::run_sweep<WorkloadFamily>(jobs, after);
   EXPECT_EQ(poisoned.cache.stale, 1u);
   EXPECT_EQ(poisoned.cache.hits, jobs.size() - 1);
   // ...and the re-execution repaired the poisoned entry in place.
-  const auto warm = sim::run_sweep<MicrobenchFamily>(jobs, after);
+  const auto warm = sim::run_sweep<WorkloadFamily>(jobs, after);
   EXPECT_EQ(warm.cache.hits, jobs.size());
   EXPECT_EQ(warm.cache.stale, 0u);
 }
 
 TEST_F(SweepOrchestrationTest, ResumeAfterKilledJournalIsByteIdentical) {
   const auto jobs = small_grid();
-  const std::string fresh =
-      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
+  const std::string fresh = sim::sweep_json<WorkloadFamily>(
+      "orch", jobs, sim::run_sweep<WorkloadFamily>(jobs, {}));
 
   SweepOptions opt;
   opt.journal_path = path("sweep.journal");
-  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  (void)sim::run_sweep<WorkloadFamily>(jobs, opt);
 
   // Kill simulation: tear bytes off the journal tail, losing one record.
   const auto full_size = fs::file_size(opt.journal_path);
   fs::resize_file(opt.journal_path, full_size - 4);
 
-  const auto resumed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto resumed = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(resumed.cache.journal_hits, jobs.size() - 1);
   EXPECT_EQ(resumed.cache.misses, 1u);
-  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, resumed), fresh);
+  EXPECT_EQ(sim::sweep_json<WorkloadFamily>("orch", jobs, resumed), fresh);
 
   // The resumed run re-journaled the lost record: a third run replays
   // everything and executes nothing.
-  const auto replayed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto replayed = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(replayed.cache.journal_hits, jobs.size());
-  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, replayed), fresh);
+  EXPECT_EQ(sim::sweep_json<WorkloadFamily>("orch", jobs, replayed), fresh);
 }
 
 TEST_F(SweepOrchestrationTest, CacheHitSupersedesACorruptJournalRecord) {
@@ -571,7 +607,7 @@ TEST_F(SweepOrchestrationTest, CacheHitSupersedesACorruptJournalRecord) {
   SweepOptions opt;
   opt.cache_dir = path("cache");
   opt.journal_path = path("sweep.journal");
-  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  (void)sim::run_sweep<WorkloadFamily>(jobs, opt);
 
   // Break the first record's blob header in place; the framing survives.
   std::string text;
@@ -584,17 +620,17 @@ TEST_F(SweepOrchestrationTest, CacheHitSupersedesACorruptJournalRecord) {
   text[at] = 'X';
   std::ofstream(opt.journal_path, std::ios::binary) << text;
 
-  const auto repaired = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto repaired = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(repaired.cache.corrupt, 1u);
   EXPECT_EQ(repaired.cache.hits, 1u);
   EXPECT_EQ(repaired.cache.journal_hits, jobs.size() - 1);
 
   fs::remove_all(opt.cache_dir);
-  const auto resumed = sim::run_sweep<MicrobenchFamily>(jobs, opt);
+  const auto resumed = sim::run_sweep<WorkloadFamily>(jobs, opt);
   EXPECT_EQ(resumed.cache.journal_hits, jobs.size());
   EXPECT_EQ(resumed.cache.stores, 0u);  // nothing executed
-  EXPECT_EQ(sim::sweep_json<MicrobenchFamily>("orch", jobs, resumed),
-            sim::sweep_json<MicrobenchFamily>("orch", jobs, repaired));
+  EXPECT_EQ(sim::sweep_json<WorkloadFamily>("orch", jobs, resumed),
+            sim::sweep_json<WorkloadFamily>("orch", jobs, repaired));
 }
 
 TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
@@ -675,7 +711,7 @@ class SweepDedupTest : public TempDirTest {
 };
 
 TEST_F(SweepDedupTest, MicrobenchDuplicatesRunOnce) {
-  expect_each_key_runs_once<MicrobenchFamily>(doubled(small_grid()));
+  expect_each_key_runs_once<WorkloadFamily>(doubled(small_grid()));
 }
 
 TEST_F(SweepDedupTest, TenantDuplicatesRunOnce) {
@@ -759,10 +795,10 @@ class SweepShardTest : public TempDirTest {
 
 TEST_F(SweepShardTest, CacheReassemblesMicrobenchShards) {
   const auto jobs = small_grid();
-  const std::string cold = sim::sweep_json<MicrobenchFamily>(
-      "orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
-  expect_reassembles<MicrobenchFamily>(jobs, 2, cold);
-  expect_reassembles<MicrobenchFamily>(jobs, 3, cold);
+  const std::string cold = sim::sweep_json<WorkloadFamily>(
+      "orch", jobs, sim::run_sweep<WorkloadFamily>(jobs, {}));
+  expect_reassembles<WorkloadFamily>(jobs, 2, cold);
+  expect_reassembles<WorkloadFamily>(jobs, 3, cold);
 }
 
 TEST_F(SweepShardTest, CacheReassemblesTenantShards) {
@@ -838,8 +874,8 @@ TEST(BatchCliSweep, FilteredSweepJsonContainsOnlyMatchingLabels) {
   cli.jobs_regex = "ones";
   auto jobs = small_grid();
   sim::apply_job_filter(jobs, cli);
-  const std::string json =
-      sim::sweep_json<MicrobenchFamily>("orch", jobs, sim::run_sweep<MicrobenchFamily>(jobs, {}));
+  const std::string json = sim::sweep_json<WorkloadFamily>(
+      "orch", jobs, sim::run_sweep<WorkloadFamily>(jobs, {}));
   EXPECT_NE(json.find("ones"), std::string::npos);
   EXPECT_EQ(json.find("fibonacci"), std::string::npos);
 }
@@ -877,14 +913,14 @@ TEST_F(SweepOrchestrationTest, SweepExportsCacheMetrics) {
   const auto jobs = small_grid();
   SweepOptions opt;
   opt.cache_dir = path("cache");
-  (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);  // cold: fill the cache
+  (void)sim::run_sweep<WorkloadFamily>(jobs, opt);  // cold: fill the cache
 
   obs::Session::Options oopt;
   oopt.metrics = true;
   obs::Session session(oopt);
   {
     const obs::ScopedSession scoped(&session);
-    (void)sim::run_sweep<MicrobenchFamily>(jobs, opt);
+    (void)sim::run_sweep<WorkloadFamily>(jobs, opt);
   }
   const auto merged = session.metrics().merged();
   const auto& counters = merged.counters();
