@@ -130,16 +130,14 @@ Nest nest_of(const sim::WorkloadPoint& pt) {
           static_cast<usize>(spec.get_u64("width", 0))};
 }
 
-/// The label -> point lookup of a report: a --jobs or --shard filter can
-/// drop any job, so a missing label is nullptr.
-struct Points {
-  const WorkloadSweep& sweep;
-  const sim::WorkloadPoint* operator()(const std::string& label) const {
-    for (usize k = 0; k < sweep.jobs.size(); ++k)
-      if (sweep.jobs[k].label == label) return &sweep.run.points[k];
-    return nullptr;
-  }
-};
+/// The point of the job labelled `label`, or nullptr when a --jobs or
+/// --shard filter dropped it.
+const sim::WorkloadPoint* find(const WorkloadSweep& sweep,
+                               const std::string& label) {
+  for (usize k = 0; k < sweep.jobs.size(); ++k)
+    if (sweep.jobs[k].label == label) return &sweep.run.points[k];
+  return nullptr;
+}
 
 /// Gate every point of a sweep (see results_gate).
 bool gate_all(std::FILE* out, const WorkloadSweep& sweep) {
@@ -342,15 +340,16 @@ std::vector<sim::WorkloadJob> fig10b_jobs() {
 // no row.
 bool fig10b_report(std::FILE* out, const WorkloadSweep& sweep) {
   const bool ok = gate_all(out, sweep);
-  const Points find{sweep};
   for (const usize w : kFig10Widths) {
     double vs_standalone = 0, vs_combined = 0, cte_vs_standalone = 0;
     usize present = 0;
     for (const Kind kind : kKinds) {
-      const auto* pt = find(nest_label(kind, w));
-      const auto* combined = find(nest_label(kind, w) + "/ideal-combined");
-      const auto* width0 = find(std::string(workloads::kind_name(kind)) +
-                                "/ideal-standalone");
+      const std::string label = nest_label(kind, w);
+      const auto* pt = find(sweep, label);
+      const auto* combined = find(sweep, label + "/ideal-combined");
+      const auto* width0 =
+          find(sweep, std::string(workloads::kind_name(kind)) +
+                          "/ideal-standalone");
       if (!pt || !combined || !width0) continue;
       ++present;
       const Cycle standalone = ideal_standalone_cycles(*width0, w);
@@ -411,12 +410,11 @@ bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
   const bool ok = gate_all(out, sweep);
   // The sections recombine points by job label: a filtered or sharded run
   // holds only a subset, so rows with a missing ingredient are skipped.
-  const Points find{sweep};
   for (usize w = 1; w <= kSnapshotWidths; ++w) {
     const std::string suffix = "/W=" + std::to_string(w);
-    const auto* arch = find("snapshot/archrs" + suffix);
-    const auto* phy = find("snapshot/phyrs" + suffix);
-    const auto* lrs = find("snapshot/lrs" + suffix);
+    const auto* arch = find(sweep, "snapshot/archrs" + suffix);
+    const auto* phy = find(sweep, "snapshot/phyrs" + suffix);
+    const auto* lrs = find(sweep, "snapshot/lrs" + suffix);
     if (!arch || !phy || !lrs) continue;
     // Every protected run is normalized to the SAME (ArchRS) unprotected
     // baseline: LRS's rename stage taxes the whole program, which is the
@@ -433,7 +431,7 @@ bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
                  lrs_base_tax * 100.0);
   }
   for (const u32 rate : kSpmRates) {
-    const auto* pt = find("spm/" + std::to_string(rate) + "B");
+    const auto* pt = find(sweep, "spm/" + std::to_string(rate) + "B");
     if (!pt) continue;
     std::fprintf(out,
                  "Ablation/spm  %3u B/cycle  SeMPE %5.2fx (fibonacci, W=4)\n",
@@ -441,8 +439,8 @@ bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
   }
   for (const bool on : {true, false}) {
     const std::string label = std::string("prefetch/") + (on ? "on" : "off");
-    const auto* pt = find(label);
-    const auto* width0 = find(label + "/ideal-standalone");
+    const auto* pt = find(sweep, label);
+    const auto* width0 = find(sweep, label + "/ideal-standalone");
     if (!pt || !width0) continue;
     std::fprintf(out,
                  "Ablation/prefetch  %s  SeMPE/ideal(standalone) = %.3f "
