@@ -318,10 +318,6 @@ sim::WorkloadJob ideal_standalone_job(std::string label, Kind kind,
   return {std::move(label), micro_spec(kind, 0), opt, /*legacy_only=*/true};
 }
 
-Cycle ideal_standalone_cycles(const sim::WorkloadPoint& width0, usize w) {
-  return static_cast<Cycle>(w + 1) * width0.baseline_cycles;
-}
-
 std::vector<sim::WorkloadJob> fig10b_jobs() {
   std::vector<sim::WorkloadJob> jobs = fig10_jobs();
   for (const Kind kind : kKinds) {
@@ -352,7 +348,8 @@ bool fig10b_report(std::FILE* out, const WorkloadSweep& sweep) {
                           "/ideal-standalone");
       if (!pt || !combined || !width0) continue;
       ++present;
-      const Cycle standalone = ideal_standalone_cycles(*width0, w);
+      const Cycle standalone =
+          sim::WorkloadPoint::ideal_standalone_cycles(*width0, w);
       vs_standalone += sim::WorkloadPoint::ratio(pt->sempe_cycles, standalone);
       vs_combined += sim::WorkloadPoint::ratio(pt->sempe_cycles,
                                                combined->baseline_cycles);
@@ -448,7 +445,8 @@ bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
                  on ? "on " : "off",
                  sim::WorkloadPoint::ratio(
                      pt->sempe_cycles,
-                     ideal_standalone_cycles(*width0, nest_of(*pt).width)));
+                     sim::WorkloadPoint::ideal_standalone_cycles(
+                         *width0, nest_of(*pt).width)));
   }
   return ok;
 }

@@ -25,12 +25,11 @@ int main(int argc, char** argv) {
       "micro." + kind + "?width=" + width + "&iters=" + iters;
   try {
     const sim::WorkloadPoint pt = sim::measure_workload(spec + "&secrets=0");
-    // The standalone sum-of-paths ideal: W+1 paths, each priced by the
-    // legacy run of the width-0 build.
+    // The standalone sum-of-paths ideal, priced by the width-0 build.
     const sim::WorkloadPoint one = sim::measure_workload(
         "micro." + kind + "?width=0&iters=" + iters, {}, /*legacy_only=*/true);
-    const u64 w = workloads::WorkloadSpec::parse(pt.spec).get_u64("width", 0);
-    const Cycle ideal = (w + 1) * one.baseline_cycles;
+    const Cycle ideal = sim::WorkloadPoint::ideal_standalone_cycles(
+        one, workloads::WorkloadSpec::parse(pt.spec).get_u64("width", 0));
 
     // Each run's results check against the host mirror.
     const auto check = [](const sim::WorkloadPoint& p, const char* mode) {

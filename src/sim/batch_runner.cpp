@@ -288,8 +288,23 @@ std::vector<std::string> registry_audit_specs(usize iters) {
 // ---------------------------------------------------------------------------
 // The JSON projections of the family rows.
 
-void WorkloadFamily::json(JsonFields& out, const Job&, const Point& p) {
+void WorkloadFamily::json(JsonFields& out, const Job& j, const Point& p) {
   out.s("spec", p.spec);
+  if (j.legacy_only) {
+    // A baseline-only point (a Fig. 10b ideal) names the one mode it ran
+    // and carries only that mode's fields.
+    out.s("modes", "legacy");
+    out.u("results_ok", p.results_ok);
+    const ModeResultCheck* c = p.check("legacy");
+    out.u("legacy_ok", c != nullptr && c->ok);
+    out.s("result_mismatch", p.mismatch_summary());
+    out.u("baseline_cycles", p.baseline_cycles);
+    out.u("baseline_instructions", p.baseline_instructions);
+    out.f("il1_miss_baseline", p.baseline_stats.il1_miss_rate());
+    out.f("dl1_miss_baseline", p.baseline_stats.dl1_miss_rate());
+    out.f("l2_miss_baseline", p.baseline_stats.l2_miss_rate());
+    return;
+  }
   out.u("has_cte", p.has_cte);
   out.u("results_ok", p.results_ok);
   // Per-mode verdicts (modes that did not run count as ok).

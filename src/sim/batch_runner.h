@@ -208,15 +208,13 @@ struct SweepRun {
 // in sim/sweep_codec.h. A new family is one row plus an entry in
 // SEMPE_SWEEP_FAMILIES.
 
-/// A registry-resolved workload spec (see workloads/registry.h) plus the
-/// options its measurement reads.
-template <typename Opt>
-struct SpecJob {
+/// A registry-resolved workload spec (see workloads/registry.h) audited
+/// over its secret space under `opt`.
+struct LeakageJob {
   std::string label;  // e.g. "synthetic.ptr_chase/W=4"
   std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
-  Opt opt{};
+  security::AuditOptions opt{};
 };
-using LeakageJob = SpecJob<security::AuditOptions>;
 
 /// A spec timed under the machine knobs of `opt`: every mode, or the
 /// legacy baseline alone (the sum-of-paths ideals of Fig. 10b).

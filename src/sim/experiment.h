@@ -67,6 +67,12 @@ struct WorkloadPoint {
   static double ratio(Cycle a, Cycle b) {
     return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
   }
+  /// Fig. 10b's standalone sum-of-paths ideal at nesting width `w`: W+1
+  /// paths, each priced by `width0`, the legacy-only point of the same
+  /// kernel's width-0 build under the same machine knobs.
+  static Cycle ideal_standalone_cycles(const WorkloadPoint& width0, usize w) {
+    return static_cast<Cycle>(w + 1) * width0.baseline_cycles;
+  }
   /// nullptr when the mode was not run (e.g. "cte" without a variant).
   const ModeResultCheck* check(const std::string& mode) const;
   /// "mode: detail" for every failed mode, "; "-joined ("" when all ok).

@@ -162,12 +162,13 @@ TEST(BatchRunner, WorkloadJsonByteIdenticalAcrossThreadCountsInclHeader) {
   }
 }
 
-TEST(BatchRunner, IdealJobsAreIndependentLegacyRuns) {
+TEST(BatchRunner, IdealStandaloneIsWidthPlusOneTimesSingleRun) {
   // Fig. 10b's ideals are legacy-only workload jobs: ideal-combined is the
   // legacy run of the all-secrets-true build, and ideal-standalone is
   // (W+1) x t1, where t1 is the legacy run of the width-0 build. Each
   // job's baseline must be exactly an independent run of that build under
-  // the job's machine knobs, and no other mode may run.
+  // the job's machine knobs, no other mode may run, and the standalone
+  // ideal the reports print must be (W+1) x that independent t1.
   sim::MachineOptions opt;
   opt.enable_prefetchers = false;  // a non-default knob must reach the run
   const std::vector<sim::WorkloadJob> jobs = {
@@ -197,6 +198,9 @@ TEST(BatchRunner, IdealJobsAreIndependentLegacyRuns) {
     EXPECT_EQ(pt.checks[0].mode, "legacy");
     EXPECT_EQ(pt.sempe_cycles, 0u);
     EXPECT_EQ(pt.cte_cycles, 0u);
+    if (k == 2) {
+      EXPECT_EQ(sim::WorkloadPoint::ideal_standalone_cycles(pt, 3), 4 * t);
+    }
   }
   // Every path executes once in the combined run, so it costs more than
   // the all-false baseline; the width-0 run has one path and no nest, so
