@@ -7,7 +7,8 @@
 // applies --jobs/--shard to each row's own job list, concatenates the rows
 // of each sweep family and sweeps every family once through sim::run_sweep,
 // which runs each distinct job key once (Fig. 9 re-reports Fig. 8's points;
-// Fig. 10b, Tables I and II and the ablation share Fig. 10a's). Each row
+// Fig. 10b, Tables I and II and the ablation share Fig. 10a's; lint
+// re-reports leakage's audits). Each row
 // then, in table order, prints its report and emits its --json document
 // exactly as it would alone; several documents are written back to back, a
 // stream `jq` reads as is. The exit status is nonzero if any row's gate
@@ -44,8 +45,8 @@ struct Sweep {
   sim::SweepRun<typename F::Point> run;  // run.points[i] is jobs[i]'s
 };
 using WorkloadSweep = Sweep<sim::WorkloadFamily>;
-using Pools = std::tuple<WorkloadSweep, Sweep<sim::LeakageFamily>,
-                         Sweep<sim::LintFamily>, Sweep<sim::TenantFamily>>;
+using AuditSweep = Sweep<sim::AuditFamily>;
+using Pools = std::tuple<WorkloadSweep, AuditSweep>;
 
 /// A queued row's second half, run after the sweeps: print the report,
 /// append the --json document to `*json` (if non-null), return the gate.
@@ -61,7 +62,8 @@ struct Experiment {
 template <typename F>
 Experiment row(const char* name, const char* title,
                std::vector<typename F::Job> (*build)(),
-               bool (*report)(std::FILE*, const Sweep<F>&)) {
+               bool (*report)(std::FILE*, const Sweep<F>&),
+               sim::JsonProjection<F> project = &F::json) {
   return {name, title, [=](Pools& pools, const BatchCli& cli) -> Finish {
             std::vector<typename F::Job> jobs = build();
             sim::apply_job_filter(jobs, cli);
@@ -74,7 +76,8 @@ Experiment row(const char* name, const char* title,
               sweep.run.points.assign(first, first + std::ssize(jobs));
               const bool ok = report(out, sweep);
               if (json != nullptr)
-                *json += sim::sweep_json<F>(name, sweep.jobs, sweep.run);
+                *json +=
+                    sim::sweep_json<F>(name, sweep.jobs, sweep.run, project);
               return ok;
             };
           }};
@@ -493,27 +496,34 @@ bool workload_report(std::FILE* out, const char* tag,
 
 // Security sweeps.
 
-/// The audit budget; `stat` adds the statistical-tier knobs.
-security::AuditOptions audit_options(usize samples, bool stat) {
+/// The audit budget, with the statistical tier's knobs.
+security::AuditOptions audit_options(usize samples) {
   security::AuditOptions opt;
   opt.samples = sim::env_usize("SEMPE_AUDIT_SAMPLES", samples);
-  if (stat) {
-    opt.stat_samples = sim::env_usize("SEMPE_STAT_SAMPLES", 0, 0);
-    opt.stat_budget = sim::env_usize("SEMPE_STAT_BUDGET", 0, 0);
-  }
+  opt.stat_samples = sim::env_usize("SEMPE_STAT_SAMPLES", 0, 0);
+  opt.stat_budget = sim::env_usize("SEMPE_STAT_BUDGET", 0, 0);
   return opt;
 }
 
-// The leakage audit (security/audit.h) of every registered workload but
-// the attack.* ones: fails if any SeMPE-mode channel stays open or any
-// run's results diverge from the host mirrors.
-std::vector<sim::LeakageJob> leakage_jobs() {
-  return sim::leakage_grid(
+/// Every registered workload but the attack.* ones, one audit job each:
+/// the leakage and lint experiments report the same points.
+std::vector<sim::AuditJob> audit_jobs() {
+  return sim::spec_grid<sim::AuditFamily>(
       sim::registry_audit_specs(sim::env_usize("SEMPE_BENCH_ITERS", 2)),
-      audit_options(8, /*stat=*/true));
+      audit_options(8));
 }
 
-bool leakage_report(std::FILE* out, const Sweep<sim::LeakageFamily>& sweep) {
+/// Print `  !! <mode>: <mismatch>` for every mode whose results diverged
+/// from the host mirror.
+void print_mismatches(std::FILE* out, const security::WorkloadAudit& a) {
+  for (const security::ModeAudit& m : a.modes)
+    if (!m.results_ok)
+      std::fprintf(out, "  !! %s: %s\n", m.mode.c_str(), m.mismatch.c_str());
+}
+
+// The leakage audit (security/audit.h): fails if any SeMPE-mode channel
+// stays open or any run's results diverge from the host mirrors.
+bool leakage_report(std::FILE* out, const AuditSweep& sweep) {
   bool all_ok = true;
   for (const auto& pt : sweep.run.points) {
     const security::WorkloadAudit& a = pt.audit;
@@ -533,29 +543,20 @@ bool leakage_report(std::FILE* out, const Sweep<sim::LeakageFamily>& sweep) {
                      m.stat_max_t() < 0 ? -m.stat_max_t() : m.stat_max_t());
     }
     std::fprintf(out, "  %s\n", pt.results_ok() ? "ok" : "RESULTS MISMATCH");
-    if (!pt.sempe_closed()) {
-      const security::ModeAudit* s = a.mode("sempe");
-      std::fprintf(out, "  !! SeMPE leak: %s\n",
-                   s != nullptr && !s->first_divergence().empty()
-                       ? s->first_divergence().c_str()
-                       : "results mismatch");
-    }
+    const security::ModeAudit* s = a.mode("sempe");
+    if (s != nullptr && !s->indistinguishable())
+      std::fprintf(out, "  !! SeMPE leak: %s\n", s->first_divergence().c_str());
+    print_mismatches(out, a);
   }
   return all_ok;
 }
 
-// The static taint lint (security/taint_lint.h) of the same specs vs the
-// dynamic audit. Fails on a statically clean but dynamically
+// The static taint lint (security/taint_lint.h) of the same points vs the
+// exact tier of their audit. Fails on a statically clean but dynamically
 // distinguishable workload, any CTE finding, or a secret-carrying workload
 // clean under the legacy policy; static-dirty, dynamic-clean points
 // (synthetic.ibr under SeMPE) only warn.
-std::vector<sim::LeakageJob> lint_jobs() {
-  return sim::spec_grid<sim::LintFamily>(
-      sim::registry_audit_specs(sim::env_usize("SEMPE_BENCH_ITERS", 2)),
-      audit_options(8, /*stat=*/false));
-}
-
-bool lint_report(std::FILE* out, const Sweep<sim::LintFamily>& sweep) {
+bool lint_report(std::FILE* out, const AuditSweep& sweep) {
   bool all_ok = true;
   for (const auto& pt : sweep.run.points) {
     const security::WorkloadLint& l = pt.lint;
@@ -579,8 +580,8 @@ bool lint_report(std::FILE* out, const Sweep<sim::LintFamily>& sweep) {
 // Co-residence attacks (workloads/attack.h), victim and attacker sharing
 // one hierarchy. Fails unless legacy recovers >= 90% of the key bits, SeMPE
 // and CTE stay at chance, and every run's results match the host mirrors.
-std::vector<sim::TenantJob> tenants_jobs() {
-  return sim::tenant_grid(
+std::vector<sim::AuditJob> tenants_jobs() {
+  return sim::spec_grid<sim::AuditFamily>(
       {// The acceptance-criterion point, at its registry defaults.
        "attack.prime_probe?victim=crypto.modexp",
        // Wider key sweeps of both probe styles against the same victim.
@@ -588,10 +589,10 @@ std::vector<sim::TenantJob> tenants_jobs() {
        "&iters=2",
        "attack.flush_reload?victim=crypto.modexp&width=4&size=8&bits=8"
        "&iters=2"},
-      audit_options(4, /*stat=*/true));
+      audit_options(4));
 }
 
-bool tenants_report(std::FILE* out, const Sweep<sim::TenantFamily>& sweep) {
+bool tenants_report(std::FILE* out, const AuditSweep& sweep) {
   bool all_ok = true;
   for (const auto& pt : sweep.run.points) {
     const security::WorkloadAudit& a = pt.audit;
@@ -608,12 +609,11 @@ bool tenants_report(std::FILE* out, const Sweep<sim::TenantFamily>& sweep) {
     if (!pt.legacy_recovers())
       std::fprintf(out, "  !! legacy recovered only %.1f%% of the key\n",
                    100.0 * pt.recovery_rate("legacy"));
-    if (!pt.at_chance("sempe") || !pt.at_chance("cte"))
-      std::fprintf(out, "  !! a protected mode is distinguishable: %s\n",
-                   a.mode("sempe") != nullptr
-                       ? a.mode("sempe")->first_divergence().c_str()
-                       : "");
-    if (!pt.results_ok()) std::fprintf(out, "  !! results mismatch\n");
+    for (const char* mode : {"sempe", "cte"})
+      if (!pt.at_chance(mode))
+        std::fprintf(out, "  !! %s is distinguishable: %s\n", mode,
+                     a.mode(mode)->first_divergence().c_str());
+    print_mismatches(out, a);
   }
   return all_ok;
 }
@@ -648,12 +648,14 @@ const Experiment kExperiments[] = {
         scenarios_jobs, [](std::FILE* out, const WorkloadSweep& s) {
           return workload_report(out, "scenario", s);
         }),
-    row<sim::LeakageFamily>("leakage", "leakage audit of every workload",
-                            leakage_jobs, leakage_report),
-    row<sim::LintFamily>("lint", "static taint lint vs the dynamic audit",
-                         lint_jobs, lint_report),
-    row<sim::TenantFamily>("tenants", "co-residence attacks: key recovery",
-                           tenants_jobs, tenants_report),
+    row<sim::AuditFamily>("leakage", "leakage audit of every workload",
+                          audit_jobs, leakage_report),
+    row<sim::AuditFamily>("lint", "static taint lint vs the dynamic audit",
+                          audit_jobs, lint_report,
+                          &sim::AuditFamily::lint_json),
+    row<sim::AuditFamily>("tenants", "co-residence attacks: key recovery",
+                          tenants_jobs, tenants_report,
+                          &sim::AuditFamily::tenant_json),
 };
 
 template <typename F>

@@ -167,9 +167,9 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
   // The audit is a one-job sweep through the shared orchestration path,
   // which is what makes --cache-dir / --journal / --shard / --jobs work
   // here: a warm cache replays the stored WorkloadAudit verbatim.
-  auto jobs = sim::leakage_grid({spec_text}, opt);
+  auto jobs = sim::spec_grid<sim::AuditFamily>({spec_text}, opt);
   sim::apply_job_filter(jobs, cli);
-  const auto run = sim::run_sweep<sim::LeakageFamily>(jobs, cli.sweep);
+  const auto run = sim::run_sweep<sim::AuditFamily>(jobs, cli.sweep);
 
   bool ok = true;
   for (const auto& pt : run.points) {
@@ -190,7 +190,7 @@ int run_audit(const std::string& spec_text, const security::AuditOptions& base,
                  "shard; nothing ran\n");
   if (cli.want_json &&
       !sim::emit_json(cli,
-                      sim::sweep_json<sim::LeakageFamily>("audit", jobs, run)))
+                      sim::sweep_json<sim::AuditFamily>("audit", jobs, run)))
     return 1;
   return ok ? 0 : 3;
 }

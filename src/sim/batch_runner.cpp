@@ -248,7 +248,8 @@ SweepRun<typename F::Point> run_sweep(const std::vector<typename F::Job>& jobs,
 template <typename F>
 std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
-                       const SweepRun<typename F::Point>& run) {
+                       const SweepRun<typename F::Point>& run,
+                       JsonProjection<F> project) {
   SEMPE_CHECK(run.points.size() == jobs.size());
   std::string out = json_header(experiment, workload_field(jobs), F::kModes);
   for (usize k = 0; k < jobs.size(); ++k) {
@@ -256,7 +257,7 @@ std::string sweep_json(const std::string& experiment,
     out += "    {\n";
     JsonFields fields(out);
     fields.s("label", job.label);
-    F::json(fields, job, run.points[k]);
+    project(fields, job, run.points[k]);
     out.erase(out.size() - 2, 1);  // the last field takes no comma
     out += k + 1 == run.points.size() ? "    }\n" : "    },\n";
   }
@@ -267,9 +268,9 @@ std::string sweep_json(const std::string& experiment,
 #define SEMPE_INSTANTIATE_FAMILY(F)                                         \
   template SweepRun<F::Point> run_sweep<F>(const std::vector<F::Job>&,     \
                                            const SweepOptions&);           \
-  template std::string sweep_json<F>(const std::string&,                   \
-                                     const std::vector<F::Job>&,           \
-                                     const SweepRun<F::Point>&);
+  template std::string sweep_json<F>(                                      \
+      const std::string&, const std::vector<F::Job>&,                       \
+      const SweepRun<F::Point>&, JsonProjection<F>);
 SEMPE_SWEEP_FAMILIES(SEMPE_INSTANTIATE_FAMILY)
 #undef SEMPE_INSTANTIATE_FAMILY
 
@@ -330,7 +331,7 @@ void WorkloadFamily::json(JsonFields& out, const Job& j, const Point& p) {
   out.f("l2_miss_sempe", p.sempe_stats.l2_miss_rate());
 }
 
-void LeakageFamily::json(JsonFields& out, const Job&, const Point& p) {
+void AuditFamily::json(JsonFields& out, const Job&, const Point& p) {
   const security::WorkloadAudit& a = p.audit;
   out.s("spec", a.spec);
   out.u("secret_width", a.secret_width);
@@ -379,10 +380,10 @@ void LeakageFamily::json(JsonFields& out, const Job&, const Point& p) {
   }
 }
 
-void TenantFamily::json(JsonFields& out, const Job& j, const Point& p) {
+void AuditFamily::tenant_json(JsonFields& out, const Job&, const Point& p) {
   const security::WorkloadAudit& a = p.audit;
   out.s("spec", a.spec);
-  out.u("tenants", j.tenants);
+  out.u("tenants", 2);  // the attack workloads schedule two contexts
   out.u("secret_width", a.secret_width);
   out.u("samples", a.masks.size());
   out.u("results_ok", p.results_ok());
@@ -407,7 +408,7 @@ void TenantFamily::json(JsonFields& out, const Job& j, const Point& p) {
   out.u("cte_at_chance", p.at_chance("cte"));
 }
 
-void LintFamily::json(JsonFields& out, const Job&, const Point& p) {
+void AuditFamily::lint_json(JsonFields& out, const Job&, const Point& p) {
   // Findings serialize compactly as "0x<pc>:<kind>" CSV — the PCs are the
   // pinned part; details stay in the human report.
   const auto findings_csv = [](const security::LintResult& r) {

@@ -9,13 +9,15 @@
 // it — byte-identical regardless of thread count.
 //
 // Every sweep is a list of jobs of one family, and every family is one row
-// of the sweep-family table below (workload, leakage, lint, tenant): the
-// row names its Job and Point types, how a job is measured, its JSON
-// projection and its job key, and one generic run_sweep / sweep_json /
-// job_identity / codec path serves every row. Every timing point of the
-// paper is a workload job over a registry spec — Table I, Fig. 10 and the
-// ablations over micro.* specs, Figs. 8/9 over djpeg specs — so every such
-// run has its results checked against the host mirror. A sweep
+// of the sweep-family table below (workload, audit): the row names its Job
+// and Point types, how a job is measured, its JSON projection and its job
+// key, and one generic run_sweep / sweep_json / job_identity / codec path
+// serves every row. Every timing point of the paper is a workload job over
+// a registry spec — Table I, Fig. 10 and the ablations over micro.* specs,
+// Figs. 8/9 over djpeg specs — so every such run has its results checked
+// against the host mirror. Every security point is an audit job: the
+// leakage, lint and tenants experiments are three JSON projections of the
+// same audit points, so a spec they share is audited once. A sweep
 // resolves each distinct job key once — from the journal, the cache, or by
 // executing it — and hands that point to every job sharing the key, which
 // is sound because the key covers every input a measurement reads
@@ -209,8 +211,9 @@ struct SweepRun {
 // SEMPE_SWEEP_FAMILIES.
 
 /// A registry-resolved workload spec (see workloads/registry.h) audited
-/// over its secret space under `opt`.
-struct LeakageJob {
+/// over its secret space under `opt`. An attack spec carries its victim
+/// sub-spec, probe knobs and scheduler quantum as spec parameters.
+struct AuditJob {
   std::string label;  // e.g. "synthetic.ptr_chase/W=4"
   std::string spec;   // e.g. "synthetic.ptr_chase?size=4096&width=4"
   security::AuditOptions opt{};
@@ -223,19 +226,6 @@ struct WorkloadJob {
   std::string spec;   // e.g. "micro.ones?width=4&iters=20&secrets=0"
   MachineOptions opt{};
   bool legacy_only = false;  // reaches the job key as modes=legacy
-};
-
-/// One co-residence attack spec (workloads/attack.h) audited end-to-end
-/// over the secret space (see measure_tenant). The victim spec, probe
-/// knobs, and scheduler quantum all travel inside the spec parameters.
-/// `tenants` is the co-residence degree; the attack workloads schedule
-/// exactly 2 contexts today, but the count is part of the job identity so
-/// a future N-tenant grid can never collide with 2-tenant cache entries.
-struct TenantJob {
-  std::string label;  // e.g. "attack.prime_probe/crypto.modexp"
-  std::string spec;   // e.g. "attack.prime_probe?victim=crypto.modexp"
-  usize tenants = 2;
-  security::AuditOptions opt{};
 };
 
 /// A family's job-key text (see sim/job_key.h).
@@ -260,39 +250,24 @@ struct WorkloadFamily {
   static void json(JsonFields& out, const Job& j, const Point& p);
 };
 
-struct LeakageFamily {
-  using Job = LeakageJob;
-  using Point = LeakagePoint;
-  static constexpr const char* kName = "leakage";
+struct AuditFamily {
+  using Job = AuditJob;
+  using Point = AuditPoint;
+  static constexpr const char* kName = "audit";
   static constexpr const char* kModes = "legacy,sempe,cte";
-  static Point measure(const Job& j) { return measure_leakage(j.spec, j.opt); }
+  static Point measure(const Job& j) { return measure_audit(j.spec, j.opt); }
   static KeyText key(const Job& j);
+  /// The leakage experiment's projection: per-mode verdicts of both tiers.
   static void json(JsonFields& out, const Job& j, const Point& p);
-};
-
-struct LintFamily {
-  using Job = LeakageJob;  // the audit options drive the dynamic half
-  using Point = LintPoint;
-  static constexpr const char* kName = "lint";
-  static constexpr const char* kModes = "legacy,sempe,cte";
-  static Point measure(const Job& j) { return measure_lint(j.spec, j.opt); }
-  static KeyText key(const Job& j);
-  static void json(JsonFields& out, const Job& j, const Point& p);
-};
-
-struct TenantFamily {
-  using Job = TenantJob;
-  using Point = TenantPoint;
-  static constexpr const char* kName = "tenant";
-  static constexpr const char* kModes = "legacy,sempe,cte";
-  static Point measure(const Job& j) { return measure_tenant(j.spec, j.opt); }
-  static KeyText key(const Job& j);
-  static void json(JsonFields& out, const Job& j, const Point& p);
+  /// The lint experiment's projection: the static findings and the
+  /// cross-check against the exact tier.
+  static void lint_json(JsonFields& out, const Job& j, const Point& p);
+  /// The tenants experiment's projection: key recovery and the attack gate.
+  static void tenant_json(JsonFields& out, const Job& j, const Point& p);
 };
 
 /// The table: X(row) once per family.
-#define SEMPE_SWEEP_FAMILIES(X) \
-  X(WorkloadFamily) X(LeakageFamily) X(LintFamily) X(TenantFamily)
+#define SEMPE_SWEEP_FAMILIES(X) X(WorkloadFamily) X(AuditFamily)
 
 /// Run a sweep: resolve each distinct job key once, in first-occurrence
 /// order — from the journal, then the cache, and otherwise by parallel
@@ -318,18 +293,23 @@ std::vector<typename F::Job> spec_grid(const std::vector<std::string>& specs,
 
 // The per-family names perfbench/perfbench.cpp calls.
 inline constexpr auto& run_workload_sweep = run_sweep<WorkloadFamily>;
-inline constexpr auto& run_leakage_sweep = run_sweep<LeakageFamily>;
-inline constexpr auto& run_tenant_sweep = run_sweep<TenantFamily>;
+inline constexpr auto& run_leakage_sweep = run_sweep<AuditFamily>;
+inline constexpr auto& run_tenant_sweep = run_sweep<AuditFamily>;
 inline constexpr auto& workload_grid = spec_grid<WorkloadFamily>;
-inline constexpr auto& leakage_grid = spec_grid<LeakageFamily>;
-inline constexpr auto& tenant_grid = spec_grid<TenantFamily>;
+inline constexpr auto& leakage_grid = spec_grid<AuditFamily>;
+inline constexpr auto& tenant_grid = spec_grid<AuditFamily>;
+inline constexpr auto& measure_leakage = measure_audit;
+using LeakageJob = AuditJob;
+using TenantJob = AuditJob;
+using LeakagePoint = AuditPoint;
+using TenantPoint = AuditPoint;
 using MicrobenchPoint = WorkloadPoint;  // for MicrobenchPoint::ratio
 
-/// The specs the leakage and lint experiments audit: every registered
-/// workload except the attack.* ones (the tenants experiment owns those)
-/// at width 3, so the default 8 samples enumerate the whole 2^3 secret
-/// space, and djpeg — no settable secret vector — as one small smoke
-/// image.
+/// The specs the leakage and lint experiments share, one audit job each:
+/// every registered workload except the attack.* ones (the tenants
+/// experiment owns those) at width 3, so the default 8 samples enumerate
+/// the whole 2^3 secret space, and djpeg — no settable secret vector — as
+/// one small smoke image.
 std::vector<std::string> registry_audit_specs(usize iters);
 
 // ---------------------------------------------------------------------------
@@ -343,12 +323,19 @@ std::vector<std::string> registry_audit_specs(usize iters);
 
 inline constexpr int kResultSchemaVersion = 4;
 
+/// A family's JSON projection of one point (F::json, or another view of
+/// the same points, e.g. AuditFamily::lint_json).
+template <typename F>
+using JsonProjection = void (*)(JsonFields&, const typename F::Job&,
+                                const typename F::Point&);
+
 /// The --json document of a sweep: `run.points[i]` is the point of
-/// `jobs[i]`.
+/// `jobs[i]`, each written through `project`.
 template <typename F>
 std::string sweep_json(const std::string& experiment,
                        const std::vector<typename F::Job>& jobs,
-                       const SweepRun<typename F::Point>& run);
+                       const SweepRun<typename F::Point>& run,
+                       JsonProjection<F> project = &F::json);
 
 // ---------------------------------------------------------------------------
 // Shared bench CLI.

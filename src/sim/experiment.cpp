@@ -109,24 +109,6 @@ WorkloadPoint measure_workload(const std::string& spec,
   return pt;
 }
 
-LeakagePoint measure_leakage(const std::string& spec,
-                             const security::AuditOptions& opt) {
-  LeakagePoint pt;
-  pt.audit = security::audit_workload(spec, opt);
-  return pt;
-}
-
-TenantPoint measure_tenant(const std::string& spec,
-                           const security::AuditOptions& opt) {
-  const workloads::WorkloadSpec parsed = workloads::WorkloadSpec::parse(spec);
-  if (!workloads::WorkloadRegistry::instance().resolve(parsed.name).is_attack())
-    throw SimError("tenant sweep requires an attack.* workload, got '" +
-                   spec + "'");
-  TenantPoint pt;
-  pt.audit = security::audit_workload(spec, opt);
-  return pt;
-}
-
 namespace {
 
 std::string join_lines(const std::vector<std::string>& lines) {
@@ -140,12 +122,12 @@ std::string join_lines(const std::vector<std::string>& lines) {
 
 }  // namespace
 
-std::string LintPoint::failure_summary() const { return join_lines(failures); }
-std::string LintPoint::warning_summary() const { return join_lines(warnings); }
+std::string AuditPoint::failure_summary() const { return join_lines(failures); }
+std::string AuditPoint::warning_summary() const { return join_lines(warnings); }
 
-LintPoint measure_lint(const std::string& spec,
-                       const security::AuditOptions& opt) {
-  LintPoint pt;
+AuditPoint measure_audit(const std::string& spec,
+                         const security::AuditOptions& opt) {
+  AuditPoint pt;
   pt.lint = security::lint_workload(spec);
   pt.audit = security::audit_workload(spec, opt);
 
@@ -201,6 +183,15 @@ LintPoint measure_lint(const std::string& spec,
         "legacy policy (lint lost the taint)");
 
   return pt;
+}
+
+AuditPoint measure_tenant(const std::string& spec,
+                          const security::AuditOptions& opt) {
+  const workloads::WorkloadSpec parsed = workloads::WorkloadSpec::parse(spec);
+  if (!workloads::WorkloadRegistry::instance().resolve(parsed.name).is_attack())
+    throw SimError("tenant sweep requires an attack.* workload, got '" +
+                   spec + "'");
+  return measure_audit(spec, opt);
 }
 
 usize env_usize(const char* name, usize fallback, usize min) {

@@ -8,8 +8,9 @@
 //   sempe    — the same binary on the SeMPE core.
 //   cte      — the FaCT-style constant-time binary on the legacy core.
 //
-// The audit points (LeakagePoint, TenantPoint, LintPoint) sweep a spec
-// over its secret space instead.
+// The audit point (AuditPoint) sweeps a spec over its secret space
+// instead, and lints it statically; the leakage, lint and tenants
+// experiments are three reports over it.
 #pragma once
 
 #include "security/audit.h"
@@ -86,10 +87,30 @@ WorkloadPoint measure_workload(const std::string& spec,
                                const MachineOptions& opt = {},
                                bool legacy_only = false);
 
-/// One registry-resolved workload spec swept over the secret space: the
-/// leakage audit (security/audit.h) packaged as a batch-runner point.
-struct LeakagePoint {
+/// One registry-resolved workload spec swept over its secret space: the
+/// leakage audit (security/audit.h) and the static taint lint
+/// (security/taint_lint.h) of the same spec, with the two verdicts
+/// cross-checked. For a co-residence attack spec (attack.prime_probe /
+/// attack.flush_reload, workloads/attack.h) each mode's audit runs the
+/// full two-tenant experiment, and the attacker's guessed masks are scored
+/// into the key-bit recovery rate. The cross-check's gate semantics:
+///
+///   FAIL  static-clean + dynamic-leak for any variant/mode pair — the
+///         lint missed a real channel the audit observed (soundness bug).
+///   FAIL  the CTE variant has any static finding — the constant-time
+///         discipline must lint provably clean.
+///   FAIL  the workload has secrets (secret_width > 0) but the natural
+///         variant lints clean under the legacy policy — the lint lost
+///         the taint (every harnessed workload branches on its secrets).
+///   WARN  static-dirty + dynamic-clean — conservative over-approximation
+///         (e.g. synthetic.ibr under the SeMPE policy: the region
+///         verifier rejects regions containing indirect calls, but
+///         multi-path execution still closes the observable channel).
+struct AuditPoint {
+  security::WorkloadLint lint;
   security::WorkloadAudit audit;
+  std::vector<std::string> failures;  // hard gate violations ("" = pass)
+  std::vector<std::string> warnings;  // precision caveats, not failures
 
   /// The paper's claim, per workload: SeMPE closes every channel.
   bool sempe_closed() const { return audit.sempe_closed(); }
@@ -105,75 +126,27 @@ struct LeakagePoint {
       if (!m.results_ok) return false;
     return true;
   }
-};
-
-/// Audit `spec` over `opt.samples` secret vectors (see audit_workload).
-LeakagePoint measure_leakage(const std::string& spec,
-                             const security::AuditOptions& opt = {});
-
-/// One co-residence attack spec (attack.prime_probe / attack.flush_reload,
-/// workloads/attack.h) audited end-to-end: per mode, the full two-tenant
-/// experiment runs over the sampled secret space, the attacker's
-/// observation trace feeds both verdict tiers, and its guessed masks are
-/// scored into the key-bit recovery rate.
-struct TenantPoint {
-  security::WorkloadAudit audit;
-
   /// Fraction of the victim's key bits the attacker guessed right in
   /// `mode` (0.0 when the mode was not run). Chance is ~0.5.
   double recovery_rate(const std::string& mode) const {
     const security::ModeAudit* m = audit.mode(mode);
     return m == nullptr ? 0.0 : m->recovery_rate();
   }
-  /// The acceptance criterion's "at chance" notion for a protected mode:
-  /// the exact tier saw no distinguishable channel, or the statistical
-  /// tier (when it ran) found no evidence of a leak.
+  /// The attack gate's "at chance" notion for a protected mode: the exact
+  /// tier saw no distinguishable channel, or the statistical tier (when
+  /// it ran) found no evidence of a leak.
   bool at_chance(const std::string& mode) const {
     const security::ModeAudit* m = audit.mode(mode);
     if (m == nullptr) return true;  // mode absent: nothing leaked
     return m->indistinguishable() ||
            m->stat_verdict() == security::StatVerdict::kNoEvidence;
   }
-  /// The vulnerable-baseline half of the gate: the legacy core leaks the
-  /// key, i.e. recovery is decisively above the 50% chance line.
+  /// The vulnerable-baseline half of the attack gate: the legacy core
+  /// leaks the key, i.e. recovery is decisively above the 50% chance line.
   bool legacy_recovers(double min_rate = 0.9) const {
     return recovery_rate("legacy") >= min_rate;
   }
-  /// Functional cross-check over every mode and secret sample.
-  bool results_ok() const {
-    for (const security::ModeAudit& m : audit.modes)
-      if (!m.results_ok) return false;
-    return true;
-  }
-};
-
-/// Audit the attack spec `spec` over `opt.samples` secret vectors via the
-/// two-tenant co-residence path. Throws SimError when `spec` does not
-/// name an attack.* workload.
-TenantPoint measure_tenant(const std::string& spec,
-                           const security::AuditOptions& opt = {});
-
-/// One registry-resolved workload spec statically linted (the taint lint,
-/// security/taint_lint.h) AND dynamically audited (security/audit.h), with
-/// the two verdicts cross-checked. The gate semantics:
-///
-///   FAIL  static-clean + dynamic-leak for any variant/mode pair — the
-///         lint missed a real channel the audit observed (soundness bug).
-///   FAIL  the CTE variant has any static finding — the constant-time
-///         discipline must lint provably clean.
-///   FAIL  the workload has secrets (secret_width > 0) but the natural
-///         variant lints clean under the legacy policy — the lint lost
-///         the taint (every harnessed workload branches on its secrets).
-///   WARN  static-dirty + dynamic-clean — conservative over-approximation
-///         (e.g. synthetic.ibr under the SeMPE policy: the region
-///         verifier rejects regions containing indirect calls, but
-///         multi-path execution still closes the observable channel).
-struct LintPoint {
-  security::WorkloadLint lint;
-  security::WorkloadAudit audit;
-  std::vector<std::string> failures;  // hard gate violations ("" = pass)
-  std::vector<std::string> warnings;  // precision caveats, not failures
-
+  /// The lint cross-check passed.
   bool ok() const { return failures.empty(); }
   /// "; "-joined failures ("" when ok).
   std::string failure_summary() const;
@@ -181,9 +154,15 @@ struct LintPoint {
   std::string warning_summary() const;
 };
 
-/// Lint `spec` statically and audit it dynamically, then cross-check.
-LintPoint measure_lint(const std::string& spec,
-                       const security::AuditOptions& opt = {});
+/// Audit `spec` over `opt.samples` secret vectors (see audit_workload),
+/// lint it statically, and cross-check the two.
+AuditPoint measure_audit(const std::string& spec,
+                         const security::AuditOptions& opt = {});
+
+/// measure_audit of an attack spec. Throws SimError when `spec` does not
+/// name an attack.* workload.
+AuditPoint measure_tenant(const std::string& spec,
+                          const security::AuditOptions& opt = {});
 
 /// Benchmark scaling knobs from the environment (so the default bench run
 /// stays fast but full-size runs are one env var away), e.g.

@@ -88,23 +88,11 @@ KeyText WorkloadFamily::key(const Job& j) {
           j.legacy_only ? "legacy" : ""};
 }
 
-KeyText LeakageFamily::key(const Job& j) {
+KeyText AuditFamily::key(const Job& j) {
+  // An attack spec carries the victim sub-spec, the probe-shape knobs and
+  // the scheduler quantum as ordinary parameters, so canonicalization
+  // makes the key sensitive to all of them.
   return {canonical_spec_key(j.spec), audit_text(j.opt)};
-}
-
-KeyText LintFamily::key(const Job& j) {
-  return {canonical_spec_key(j.spec), audit_text(j.opt)};
-}
-
-KeyText TenantFamily::key(const Job& j) {
-  // The attack spec carries the victim sub-spec, the probe-shape knobs,
-  // and the scheduler quantum as ordinary parameters, so canonicalization
-  // makes the key sensitive to all of them; the co-residence degree is a
-  // machine coordinate of its own.
-  const std::string audit = audit_text(j.opt);
-  return {canonical_spec_key(j.spec),
-          "tenants=" + std::to_string(j.tenants) +
-              (audit.empty() ? "" : " " + audit)};
 }
 
 }  // namespace sempe::sim

@@ -243,11 +243,7 @@ void fields(auto& v, Of<WorkloadPoint> auto& p) {
   v("cte_instructions", p.cte_instructions);
 }
 
-void fields(auto& v, Of<LeakagePoint> auto& p) { v.sub("audit.", p.audit); }
-
-void fields(auto& v, Of<TenantPoint> auto& p) { v.sub("audit.", p.audit); }
-
-void fields(auto& v, Of<LintPoint> auto& p) {
+void fields(auto& v, Of<AuditPoint> auto& p) {
   v.sub("lint.", p.lint);
   v.sub("audit.", p.audit);
   v.list("failures.", p.failures);

@@ -127,9 +127,9 @@ TEST(GoldenJson, BenchLeakageSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = leakage_grid(specs, opt);
-  const std::string json = sweep_json<LeakageFamily>(
-      "leakage", jobs, run_sweep<LeakageFamily>(jobs, on_threads(1)));
+  const auto jobs = spec_grid<AuditFamily>(specs, opt);
+  const std::string json = sweep_json<AuditFamily>(
+      "leakage", jobs, run_sweep<AuditFamily>(jobs, on_threads(1)));
   EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   check_golden("bench_leakage.json.golden", normalize_points(json));
 }
@@ -141,9 +141,10 @@ TEST(GoldenJson, BenchLintSchemaIsPinned) {
       "synthetic.cond_branch?size=32&width=1&iters=1",
       "synthetic.stream?size=32&width=1&iters=1",
   };
-  const auto jobs = spec_grid<LintFamily>(specs, opt);
-  const auto run = run_sweep<LintFamily>(jobs, on_threads(1));
-  const std::string json = sweep_json<LintFamily>("lint", jobs, run);
+  const auto jobs = spec_grid<AuditFamily>(specs, opt);
+  const auto run = run_sweep<AuditFamily>(jobs, on_threads(1));
+  const std::string json =
+      sweep_json<AuditFamily>("lint", jobs, run, &AuditFamily::lint_json);
   EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   for (const auto& pt : run.points)
     EXPECT_TRUE(pt.ok()) << pt.lint.spec << ": " << pt.failure_summary();
@@ -156,9 +157,11 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
   const std::vector<std::string> specs = {
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
   };
-  const auto jobs = tenant_grid(specs, opt);
-  const std::string json = sweep_json<TenantFamily>(
-      "tenants", jobs, run_sweep<TenantFamily>(jobs, on_threads(1)));
+  const auto jobs = spec_grid<AuditFamily>(specs, opt);
+  const std::string json =
+      sweep_json<AuditFamily>("tenants", jobs,
+                              run_sweep<AuditFamily>(jobs, on_threads(1)),
+                              &AuditFamily::tenant_json);
   EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
   // The acceptance-gate flags CI greps for are part of the pinned schema.
   EXPECT_NE(json.find("\"legacy_recovery_above_chance\": 1"),
@@ -215,12 +218,16 @@ TEST(GoldenJson, MetricsReportSchemaIsPinned) {
 
 constexpr const char* kGoldenFingerprint = "golden-fingerprint";
 
-/// The golden record of one family's small sweep: the full document, each
-/// point's blob and each job's key text.
+/// The golden record of one family's small sweep: the full document under
+/// each of `projections`, each point's blob and each job's key text.
 template <typename F>
-std::string orchestration_record(const std::vector<typename F::Job>& jobs) {
+std::string orchestration_record(
+    const std::vector<typename F::Job>& jobs,
+    const std::vector<JsonProjection<F>>& projections = {&F::json}) {
   const auto run = run_sweep<F>(jobs, on_threads(2));
-  std::string out = "== json\n" + sweep_json<F>("orch", jobs, run);
+  std::string out;
+  for (const JsonProjection<F> project : projections)
+    out += "== json\n" + sweep_json<F>("orch", jobs, run, project);
   for (usize i = 0; i < run.points.size(); ++i)
     out += "== blob " + std::to_string(i) + "\n" +
            encode_point<F>(run.points[i]);
@@ -266,27 +273,19 @@ TEST(GoldenJson, OrchestrationWorkloadValuesArePinned) {
                orchestration_record<WorkloadFamily>(jobs));
 }
 
-TEST(GoldenJson, OrchestrationLeakageValuesArePinned) {
-  check_golden("orch_leakage.golden",
-               orchestration_record<LeakageFamily>(
-                   leakage_grid(two_synthetic_specs(), two_samples())));
-}
-
-TEST(GoldenJson, OrchestrationLintValuesArePinned) {
-  check_golden("orch_lint.golden",
-               orchestration_record<LintFamily>(spec_grid<LintFamily>(
-                   two_synthetic_specs(), two_samples())));
-}
-
-TEST(GoldenJson, OrchestrationTenantValuesArePinned) {
-  check_golden(
-      "orch_tenant.golden",
-      orchestration_record<TenantFamily>(tenant_grid(
-          {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
-           "&iters=2",
-           "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
-           "&iters=2"},
-          two_samples())));
+TEST(GoldenJson, OrchestrationAuditValuesArePinned) {
+  // The synthetic points and two co-residence attack points, each document
+  // under the leakage, lint and tenants projections.
+  std::vector<std::string> specs = two_synthetic_specs();
+  specs.push_back(
+      "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2");
+  specs.push_back(
+      "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8&iters=2");
+  check_golden("orch_audit.golden",
+               orchestration_record<AuditFamily>(
+                   spec_grid<AuditFamily>(specs, two_samples()),
+                   {&AuditFamily::json, &AuditFamily::lint_json,
+                    &AuditFamily::tenant_json}));
 }
 
 }  // namespace

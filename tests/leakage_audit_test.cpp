@@ -360,7 +360,7 @@ TEST(Audit, EveryRegisteredWorkloadIsClosedUnderSempe) {
 }
 
 // ---------------------------------------------------------------------------
-// The sim-layer fan-out: measure_leakage through the leakage family row.
+// The sim-layer fan-out: measure_audit through the audit family row.
 
 TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
   security::AuditOptions opt;
@@ -369,10 +369,10 @@ TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
       "synthetic.cond_branch?width=2&iters=1&size=64",
       "synthetic.stream?width=2&iters=1&size=64",
   };
-  const auto jobs = sim::leakage_grid(specs, opt);
+  const auto jobs = sim::spec_grid<sim::AuditFamily>(specs, opt);
   ASSERT_EQ(jobs.size(), 2u);
-  const auto run1 = sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(1));
-  const auto run2 = sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(2));
+  const auto run1 = sim::run_sweep<sim::AuditFamily>(jobs, on_threads(1));
+  const auto run2 = sim::run_sweep<sim::AuditFamily>(jobs, on_threads(2));
   ASSERT_EQ(run1.points.size(), 2u);
 
   for (const auto& pt : run1.points) {
@@ -382,9 +382,9 @@ TEST(LeakageJobs, BatchPathMatchesDirectAuditAndSerializes) {
   }
 
   const std::string j1 =
-      sim::sweep_json<sim::LeakageFamily>("leakage", jobs, run1);
+      sim::sweep_json<sim::AuditFamily>("leakage", jobs, run1);
   const std::string j2 =
-      sim::sweep_json<sim::LeakageFamily>("leakage", jobs, run2);
+      sim::sweep_json<sim::AuditFamily>("leakage", jobs, run2);
   EXPECT_EQ(j1, j2);  // byte-identical across thread counts
   EXPECT_NE(j1.find("\"experiment\": \"leakage\""), std::string::npos);
   EXPECT_NE(j1.find("\"sempe_distinguishable\": 0"), std::string::npos);
@@ -402,12 +402,12 @@ TEST(LeakageJobs, StatisticalVerdictsReachTheJson) {
   opt.samples = 8;
   opt.stat_samples = 32;
   opt.stat_budget = 96;
-  const auto jobs = sim::leakage_grid(
+  const auto jobs = sim::spec_grid<sim::AuditFamily>(
       {"crypto.modexp?width=3&iters=1&size=4&bits=8"}, opt);
   const auto json = [&](usize threads) {
-    return sim::sweep_json<sim::LeakageFamily>(
+    return sim::sweep_json<sim::AuditFamily>(
         "leakage", jobs,
-        sim::run_sweep<sim::LeakageFamily>(jobs, on_threads(threads)));
+        sim::run_sweep<sim::AuditFamily>(jobs, on_threads(threads)));
   };
   const std::string j1 = json(1);
   EXPECT_EQ(j1, json(4));

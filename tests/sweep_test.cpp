@@ -26,9 +26,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using sim::AuditFamily;
 using sim::BatchCli;
 using sim::JobIdentity;
-using sim::LeakageFamily;
 using sim::SweepCache;
 using sim::SweepJournal;
 using sim::SweepOptions;
@@ -161,41 +161,41 @@ TEST(JobKey, LegacyOnlyJobsNarrowTheModeLineAlone) {
 
 TEST(JobKey, OptionsTheMeasurementIgnoresAreExcluded) {
   // AuditOptions::progress only steers stderr.
-  sim::LeakageJob l;
+  sim::AuditJob l;
   l.spec = "synthetic.cond_branch?width=2";
-  sim::LeakageJob l2 = l;
+  sim::AuditJob l2 = l;
   l2.opt.progress = !l2.opt.progress;
-  EXPECT_EQ(key<LeakageFamily>(l), key<LeakageFamily>(l2));
+  EXPECT_EQ(key<AuditFamily>(l), key<AuditFamily>(l2));
   l2 = l;
   l2.opt.samples += 1;  // sample budget DOES shape the audit
-  EXPECT_NE(key<LeakageFamily>(l2), key<LeakageFamily>(l));
+  EXPECT_NE(key<AuditFamily>(l2), key<AuditFamily>(l));
 }
 
 TEST(JobKey, StatisticalTierOptionsShapeTheKey) {
   // Every statistical knob changes the verdicts, so each must miss the
   // cache rather than replay an audit computed under different settings.
-  sim::LeakageJob base;
+  sim::AuditJob base;
   base.spec = "synthetic.cond_branch?width=2";
-  const std::string k0 = key<LeakageFamily>(base);
+  const std::string k0 = key<AuditFamily>(base);
 
-  sim::LeakageJob v = base;
+  sim::AuditJob v = base;
   v.opt.stat_samples = 8;
-  const std::string k_on = key<LeakageFamily>(v);
+  const std::string k_on = key<AuditFamily>(v);
   EXPECT_NE(k_on, k0);
   v.opt.stat_budget = 64;
-  EXPECT_NE(key<LeakageFamily>(v), k_on);
+  EXPECT_NE(key<AuditFamily>(v), k_on);
   v = base;
   v.opt.confidence = 3.0;
-  EXPECT_NE(key<LeakageFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 }
 
 TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
   // The schema version is part of the identity hash: entries cached by a
   // binary with the old point layout live under different keys, so the
   // new decoder can never be fed an old blob.
-  sim::LeakageJob job;
+  sim::AuditJob job;
   job.spec = "synthetic.cond_branch?width=2";
-  const JobIdentity id = sim::job_identity<LeakageFamily>(job, "fp");
+  const JobIdentity id = sim::job_identity<AuditFamily>(job, "fp");
   EXPECT_EQ(id.schema_version, sim::kResultSchemaVersion);
   EXPECT_EQ(sim::kResultSchemaVersion, 4);  // the latest bump
 
@@ -207,56 +207,52 @@ TEST(JobKey, SchemaVersionBumpInvalidatesStaleCacheEntries) {
 
 TEST(JobKey, TenantJobKeyCoversEveryExperimentCoordinate) {
   // The co-residence result depends on the victim sub-spec, the probe
-  // shape, the scheduler quantum, the tenant count, and the audit budget;
+  // shape, the scheduler quantum, and the audit budget;
   // each must land in the identity so no two distinct experiments share a
   // cache entry.
-  sim::TenantJob base;
+  sim::AuditJob base;
   base.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  const std::string k0 = key<sim::TenantFamily>(base);
+  const std::string k0 = key<AuditFamily>(base);
 
-  sim::TenantJob v = base;  // a different victim kernel
+  sim::AuditJob v = base;  // a different victim kernel
   v.spec =
       "attack.prime_probe?victim=ds.hash_probe&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 
   v = base;  // a different attacker (probe style)
   v.spec =
       "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=2000";
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 
   v = base;  // a different victim shape under the same kernel
   v.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=16"
       "&iters=2&quantum=2000";
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 
   v = base;  // a different scheduler quantum
   v.spec =
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
       "&iters=2&quantum=1500";
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 
-  v = base;  // a different co-residence degree
-  v.tenants = 3;
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
-
-  v = base;  // the audit budget shapes the result, like LeakageJob
+  v = base;  // the audit budget shapes the result
   v.opt.samples += 1;
-  EXPECT_NE(key<sim::TenantFamily>(v), k0);
+  EXPECT_NE(key<AuditFamily>(v), k0);
 
   // Labels stay cosmetic and permuted params still share one key.
   v = base;
   v.label = "some other label";
-  EXPECT_EQ(key<sim::TenantFamily>(v), k0);
+  EXPECT_EQ(key<AuditFamily>(v), k0);
   v = base;
   v.spec =
       "attack.prime_probe?quantum=2000&iters=2&bits=8&size=8&width=2"
       "&victim=crypto.modexp";
-  EXPECT_EQ(key<sim::TenantFamily>(v), k0);
+  EXPECT_EQ(key<AuditFamily>(v), k0);
 }
 
 TEST(JobKey, KeyIsSixteenHexDigits) {
@@ -342,10 +338,10 @@ TEST(SweepCodec, LeakageRoundTripPreservesTheFullAudit) {
   security::AuditOptions opt;
   opt.samples = 2;
   const auto pt =
-      sim::measure_leakage("synthetic.cond_branch?width=2&iters=1", opt);
-  const std::string blob = sim::encode_point<LeakageFamily>(pt);
-  const auto back = sim::decode_point<LeakageFamily>(blob);
-  EXPECT_EQ(sim::encode_point<LeakageFamily>(back), blob);
+      sim::measure_audit("synthetic.cond_branch?width=2&iters=1", opt);
+  const std::string blob = sim::encode_point<AuditFamily>(pt);
+  const auto back = sim::decode_point<AuditFamily>(blob);
+  EXPECT_EQ(sim::encode_point<AuditFamily>(back), blob);
   // to_string is what sempe_run --audit prints; a cache hit must print
   // the same report a fresh audit would.
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
@@ -359,13 +355,13 @@ TEST(SweepCodec, LeakageRoundTripIsBitExactWithTheStatisticalTier) {
   opt.samples = 8;
   opt.stat_samples = 8;
   opt.stat_budget = 48;
-  const auto pt = sim::measure_leakage(
+  const auto pt = sim::measure_audit(
       "crypto.modexp?width=3&iters=1&size=4&bits=8", opt);
   EXPECT_GT(pt.audit.stat_pairs, 0u);
 
-  const std::string blob = sim::encode_point<LeakageFamily>(pt);
-  const auto back = sim::decode_point<LeakageFamily>(blob);
-  EXPECT_EQ(sim::encode_point<LeakageFamily>(back), blob);
+  const std::string blob = sim::encode_point<AuditFamily>(pt);
+  const auto back = sim::decode_point<AuditFamily>(blob);
+  EXPECT_EQ(sim::encode_point<AuditFamily>(back), blob);
   EXPECT_EQ(back.audit.stat_pairs, pt.audit.stat_pairs);
   ASSERT_EQ(back.audit.modes.size(), pt.audit.modes.size());
   bool saw_nonzero_t = false;
@@ -395,7 +391,7 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   // two-tenant run would compute.
   security::AuditOptions opt;
   opt.samples = 2;
-  const auto pt = sim::measure_tenant(
+  const auto pt = sim::measure_audit(
       "attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8&iters=2",
       opt);
   const security::ModeAudit* legacy = pt.audit.mode("legacy");
@@ -403,9 +399,9 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
   EXPECT_TRUE(legacy->attack);
   EXPECT_GT(legacy->key_bits_total, 0u);
 
-  const std::string blob = sim::encode_point<sim::TenantFamily>(pt);
-  const auto back = sim::decode_point<sim::TenantFamily>(blob);
-  EXPECT_EQ(sim::encode_point<sim::TenantFamily>(back), blob);
+  const std::string blob = sim::encode_point<AuditFamily>(pt);
+  const auto back = sim::decode_point<AuditFamily>(blob);
+  EXPECT_EQ(sim::encode_point<AuditFamily>(back), blob);
   ASSERT_EQ(back.audit.modes.size(), pt.audit.modes.size());
   for (usize mi = 0; mi < pt.audit.modes.size(); ++mi) {
     const security::ModeAudit& m = pt.audit.modes[mi];
@@ -416,8 +412,8 @@ TEST(SweepCodec, TenantRoundTripPreservesKeyRecoveryBitExactly) {
     EXPECT_EQ(bm.recovery_rate(), m.recovery_rate()) << m.mode;
   }
   EXPECT_EQ(back.audit.to_string(), pt.audit.to_string());
-  // A tenant blob must not decode as a leakage point (family header).
-  EXPECT_THROW(sim::decode_point<LeakageFamily>(blob), SimError);
+  // An audit blob must not decode as a workload point (family header).
+  EXPECT_THROW(sim::decode_point<WorkloadFamily>(blob), SimError);
   // And the tenant path refuses non-attack workloads outright.
   EXPECT_THROW(sim::measure_tenant("micro.ones?width=1&iters=1"), SimError);
 }
@@ -488,23 +484,23 @@ TEST(SweepCodec, CorruptBlobsThrow) {
   const auto pt =
       sim::measure_workload("micro.ones?width=1&iters=1&secrets=0");
   const std::string blob = sim::encode_point<WorkloadFamily>(pt);
-  EXPECT_THROW(sim::decode_point<LeakageFamily>(blob), SimError);
+  EXPECT_THROW(sim::decode_point<AuditFamily>(blob), SimError);
   // A missing field fails too.
   std::string truncated = blob.substr(0, blob.rfind("u cte_instructions"));
   EXPECT_THROW(sim::decode_point<WorkloadFamily>(truncated), SimError);
   // So does an out-of-range enum.
   security::AuditOptions opt;
   opt.samples = 2;
-  const std::string audit = sim::encode_point<LeakageFamily>(
-      sim::measure_leakage("synthetic.cond_branch?size=32&width=1&iters=1",
+  const std::string audit = sim::encode_point<AuditFamily>(
+      sim::measure_audit("synthetic.cond_branch?size=32&width=1&iters=1",
                            opt));
   const std::string field = "u audit.modes.0.channels.0.channel ";
   std::string bad_enum = audit;
   const usize at = bad_enum.find(field);
   ASSERT_NE(at, std::string::npos);
   bad_enum.replace(at + field.size(), 1, "99");
-  EXPECT_NO_THROW(sim::decode_point<LeakageFamily>(audit));
-  EXPECT_THROW(sim::decode_point<LeakageFamily>(bad_enum), SimError);
+  EXPECT_NO_THROW(sim::decode_point<AuditFamily>(audit));
+  EXPECT_THROW(sim::decode_point<AuditFamily>(bad_enum), SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -634,28 +630,31 @@ TEST_F(SweepOrchestrationTest, CacheHitSupersedesACorruptJournalRecord) {
 }
 
 TEST_F(SweepOrchestrationTest, TenantWarmCacheJsonIsByteIdentical) {
-  // The byte-identity contract extends to the new tenant family: a warm
-  // cache must replay the exact gate flags and recovery rates of the cold
-  // two-tenant run.
+  // The byte-identity contract extends to the tenants projection of the
+  // audit family: a warm cache must replay the exact gate flags and
+  // recovery rates of the cold two-tenant run.
   security::AuditOptions aopt;
   aopt.samples = 2;
-  const auto jobs = sim::tenant_grid(
+  const auto jobs = sim::spec_grid<AuditFamily>(
       {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
        "&iters=2"},
       aopt);
   SweepOptions opt;
   opt.cache_dir = path("cache");
-  const auto cold = sim::run_sweep<sim::TenantFamily>(jobs, opt);
+  const auto cold = sim::run_sweep<AuditFamily>(jobs, opt);
   EXPECT_EQ(cold.cache.misses, jobs.size());
-  const std::string fresh = sim::sweep_json<sim::TenantFamily>("tenants", jobs, cold);
+  const std::string fresh = sim::sweep_json<AuditFamily>(
+      "tenants", jobs, cold, &AuditFamily::tenant_json);
   EXPECT_NE(fresh.find("\"legacy_recovery_above_chance\": 1"),
             std::string::npos);
   EXPECT_NE(fresh.find("\"sempe_at_chance\": 1"), std::string::npos);
   EXPECT_NE(fresh.find("\"cte_at_chance\": 1"), std::string::npos);
 
-  const auto warm = sim::run_sweep<sim::TenantFamily>(jobs, opt);
+  const auto warm = sim::run_sweep<AuditFamily>(jobs, opt);
   EXPECT_EQ(warm.cache.hits, jobs.size());
-  EXPECT_EQ(sim::sweep_json<sim::TenantFamily>("tenants", jobs, warm), fresh);
+  EXPECT_EQ(sim::sweep_json<AuditFamily>("tenants", jobs, warm,
+                                         &AuditFamily::tenant_json),
+            fresh);
 }
 
 // ---------------------------------------------------------------------------
@@ -717,7 +716,7 @@ TEST_F(SweepDedupTest, MicrobenchDuplicatesRunOnce) {
 TEST_F(SweepDedupTest, TenantDuplicatesRunOnce) {
   security::AuditOptions aopt;
   aopt.samples = 2;
-  expect_each_key_runs_once<sim::TenantFamily>(doubled(sim::tenant_grid(
+  expect_each_key_runs_once<AuditFamily>(doubled(sim::spec_grid<AuditFamily>(
       {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
        "&iters=2"},
       aopt)));
@@ -804,7 +803,7 @@ TEST_F(SweepShardTest, CacheReassemblesMicrobenchShards) {
 TEST_F(SweepShardTest, CacheReassemblesTenantShards) {
   security::AuditOptions aopt;
   aopt.samples = 2;
-  const auto jobs = sim::tenant_grid(
+  const auto jobs = sim::spec_grid<AuditFamily>(
       {"attack.prime_probe?victim=crypto.modexp&width=2&size=8&bits=8"
        "&iters=2",
        "attack.flush_reload?victim=crypto.modexp&width=2&size=8&bits=8"
@@ -812,10 +811,10 @@ TEST_F(SweepShardTest, CacheReassemblesTenantShards) {
        "attack.prime_probe?victim=crypto.modexp&width=1&size=8&bits=8"
        "&iters=2"},
       aopt);
-  const std::string cold = sim::sweep_json<sim::TenantFamily>(
-      "orch", jobs, sim::run_sweep<sim::TenantFamily>(jobs, {}));
-  expect_reassembles<sim::TenantFamily>(jobs, 2, cold);
-  expect_reassembles<sim::TenantFamily>(jobs, 3, cold);
+  const std::string cold = sim::sweep_json<AuditFamily>(
+      "orch", jobs, sim::run_sweep<AuditFamily>(jobs, {}));
+  expect_reassembles<AuditFamily>(jobs, 2, cold);
+  expect_reassembles<AuditFamily>(jobs, 3, cold);
 }
 
 // ---------------------------------------------------------------------------

@@ -334,18 +334,50 @@ TEST(TaintLintRegistry, PinnedFindingsAcrossEveryWorkload) {
 TEST(TaintLintRegistry, MeasureLintCrossChecksAgainstDynamicAudit) {
   security::AuditOptions opt;
   opt.samples = 4;
-  const sim::LintPoint pt =
-      sim::measure_lint("synthetic.cond_branch?width=2&iters=1", opt);
+  const sim::AuditPoint pt =
+      sim::measure_audit("synthetic.cond_branch?width=2&iters=1", opt);
   EXPECT_TRUE(pt.ok()) << pt.failure_summary();
   EXPECT_TRUE(pt.warnings.empty()) << pt.warning_summary();
   EXPECT_EQ(pt.lint.natural_legacy.findings.size(), 2u);
 
   // The pinned precision caveat: ibr is static-dirty under the SeMPE
   // policy but dynamically indistinguishable — a warning, not a failure.
-  const sim::LintPoint ibr =
-      sim::measure_lint("synthetic.ibr?width=2&iters=1", opt);
+  const sim::AuditPoint ibr =
+      sim::measure_audit("synthetic.ibr?width=2&iters=1", opt);
   EXPECT_TRUE(ibr.ok()) << ibr.failure_summary();
   EXPECT_FALSE(ibr.warnings.empty());
+}
+
+TEST(TaintLintRegistry, LintVerdictsDoNotDependOnTheStatTier) {
+  // The lint experiment reports the same audit points as the leakage
+  // experiment, which run the statistical tier when SEMPE_STAT_SAMPLES is
+  // set; the cross-check reads the exact tier only, so its verdicts must
+  // not move.
+  for (const char* spec :
+       {"synthetic.cond_branch?width=2&iters=1", "synthetic.ibr?width=2&iters=1"}) {
+    security::AuditOptions off;
+    off.samples = 4;
+    security::AuditOptions on = off;
+    on.stat_samples = 8;
+    const sim::AuditPoint a = sim::measure_audit(spec, off);
+    const sim::AuditPoint b = sim::measure_audit(spec, on);
+    EXPECT_GT(b.audit.stat_pairs, 0u) << spec;  // the tier did run
+    EXPECT_EQ(a.failures, b.failures) << spec;
+    EXPECT_EQ(a.warnings, b.warnings) << spec;
+    EXPECT_EQ(finding_pcs(a.lint.natural_legacy),
+              finding_pcs(b.lint.natural_legacy)) << spec;
+    EXPECT_EQ(finding_pcs(a.lint.natural_sempe),
+              finding_pcs(b.lint.natural_sempe)) << spec;
+    EXPECT_EQ(finding_pcs(a.lint.cte), finding_pcs(b.lint.cte)) << spec;
+    for (const char* mode : {"legacy", "sempe", "cte"}) {
+      const security::ModeAudit* ma = a.audit.mode(mode);
+      const security::ModeAudit* mb = b.audit.mode(mode);
+      ASSERT_NE(ma, nullptr) << spec << " " << mode;
+      ASSERT_NE(mb, nullptr) << spec << " " << mode;
+      EXPECT_EQ(ma->indistinguishable(), mb->indistinguishable())
+          << spec << " " << mode;
+    }
+  }
 }
 
 }  // namespace
