@@ -461,24 +461,18 @@ bool ablation_report(std::FILE* out, const WorkloadSweep& sweep) {
 // against the host mirrors ("ok" column); a mismatch fails the row.
 
 std::vector<sim::WorkloadJob> synthetic_jobs() {
-  const usize iters = sim::env_usize("SEMPE_BENCH_ITERS", 4);
-  std::vector<std::string> specs;
-  for (const workloads::SynthKind kind : workloads::all_synth_kinds())
-    for (const usize w : {usize{1}, usize{4}})
-      for (const char* secrets : {"0", "1"})
-        specs.push_back(std::string("synthetic.") +
-                        workloads::synth_name(kind) +
-                        "?width=" + std::to_string(w) +
-                        "&iters=" + std::to_string(iters) + "&secrets=" +
-                        secrets);
-  return sim::workload_grid(specs, {});
+  return sim::workload_grid(
+      workloads::row_sweep_specs(workloads::synthetic_rows(),
+                                 sim::env_usize("SEMPE_BENCH_ITERS", 4)),
+      {});
 }
 
 // The crypto and data-structure scenario pack: the CTE column is where
 // software constant-time's 10-100x overheads show up.
 std::vector<sim::WorkloadJob> scenarios_jobs() {
   return sim::workload_grid(
-      workloads::scenario_sweep_specs(sim::env_usize("SEMPE_BENCH_ITERS", 4)),
+      workloads::row_sweep_specs(workloads::scenario_rows(),
+                                 sim::env_usize("SEMPE_BENCH_ITERS", 4)),
       {});
 }
 

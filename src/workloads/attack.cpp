@@ -27,96 +27,100 @@ const char* attack_name(AttackKind k) {
                                       : "attack.flush_reload";
 }
 
-/// Everything one spec resolves to: the victim kernel parameterization,
-/// the harness shape, and the co-residence knobs.
+/// Everything one spec resolves to: the victim kernel, the harness shape,
+/// and the co-residence knobs.
 struct ResolvedAttack {
   WorkloadSpec spec;  // canonical (every resolved key echoed)
-  ScenarioConfig victim{};
+  KernelSpec victim;
   HarnessConfig harness{};
+  u64 seed = 42;  // the victim's input-image seed
   usize set_bits = 4;
   Cycle quantum = 2000;
   u64 passes = 0;  // 0 = auto-calibrate in run_attack
 };
 
-/// Resolve a numeric key where 0 (or absence) means "use the default",
-/// echoing the resolved value into the canonical spec (same contract as
-/// the registry's built-in generators).
-usize resolve_defaulted(WorkloadSpec& spec, const char* key, u64 dflt) {
-  u64 v = spec.get_u64(key, 0);
-  if (v == 0) v = dflt;
-  spec.set(key, std::to_string(v));
-  return static_cast<usize>(v);
+/// The co-residence knobs, resolved like a harnessed row's kernel keys.
+const std::vector<KernelKey>& attack_keys() {
+  static const std::vector<KernelKey> keys = {
+      {.name = "set_bits", .fallback = 4, .min = 1, .max = 8,
+       .help = "watched DL1 sets (or lines) per secret bit: 2^n",
+       .zero_is_default = true},
+      {.name = "quantum", .fallback = 2000, .min = 1, .max = ~u64{0},
+       .help = "scheduler quantum in cycles (0 = default)",
+       .zero_is_default = true},
+      {"passes", 0, 0, 1u << 20,
+       "probe passes (0 = auto-calibrate vs the victim)"},
+  };
+  return keys;
 }
 
-/// A victim-kind knob that does not apply to the chosen victim must stay
-/// at its 0 fallback — a non-zero value would be silently ignored.
-void require_unused_zero(const WorkloadSpec& spec, const char* key,
-                         const std::string& victim) {
-  if (spec.get_u64(key, 0) != 0)
-    throw SimError("workload '" + spec.name + "': parameter '" + key +
-                   "' does not apply to victim '" + victim + "'");
+std::vector<ParamInfo> attack_params() {
+  std::vector<ParamInfo> out = {
+      {"victim", "crypto.modexp",
+       "victim kernel: crypto.aes, crypto.modexp, or ds.hash_probe"},
+      {"size", "0", "victim problem size (0 = victim default)"},
+      {"bits", "0", "crypto.modexp exponent bits (0 = default)"},
+      {"rounds", "0", "crypto.aes round passes (0 = default)"},
+      {"slots", "0", "ds.hash_probe table slots (0 = default)"},
+      {"fill", "0", "ds.hash_probe occupancy per mille (0 = default)"},
+  };
+  for (const KernelKey& key : attack_keys())
+    out.push_back({key.name, std::to_string(key.fallback), key.help});
+  out.push_back({"width", "1", "secret bits (one flat level per bit)"});
+  out.push_back({"iters", "4", "victim harness iterations"});
+  out.push_back({"secrets", "1", "0/1 string or 0bNNN mask literal"});
+  out.push_back({"seed", "42", "victim input-image seed"});
+  return out;
+}
+
+bool row_has_key(const HarnessedRow& row, const char* name) {
+  for (const KernelKey& key : row.keys)
+    if (std::string(key.name) == name) return true;
+  return false;
 }
 
 ResolvedAttack resolve_attack(const WorkloadSpec& in, Variant variant) {
   WorkloadSpec spec = in;
-  spec.check_keys({"victim", "size", "bits", "rounds", "slots", "fill",
-                   "set_bits", "quantum", "passes", "width", "iters",
-                   "secrets", "seed"});
+  spec.check_keys(attack_params());
   ResolvedAttack r;
 
   const std::string victim = spec.get("victim", "crypto.modexp");
   spec.set("victim", victim);
-  if (victim == "crypto.aes") {
-    r.victim.kind = ScenarioKind::kAesTtable;
-  } else if (victim == "crypto.modexp") {
-    r.victim.kind = ScenarioKind::kModexp;
-  } else if (victim == "ds.hash_probe") {
-    r.victim.kind = ScenarioKind::kHashProbe;
-  } else {
+  const HarnessedRow* row = nullptr;
+  std::string accepted;
+  for (const HarnessedRow& candidate : scenario_rows()) {
+    if (victim == candidate.name) row = &candidate;
+    accepted += (accepted.empty() ? "" : ", ") + std::string(candidate.name);
+  }
+  if (row == nullptr)
     throw SimError("workload '" + spec.name + "': unknown victim '" + victim +
-                   "' (accepted: crypto.aes, crypto.modexp, ds.hash_probe)");
-  }
-  r.victim.size =
-      resolve_defaulted(spec, "size", scenario_default_size(r.victim.kind));
-  switch (r.victim.kind) {
-    case ScenarioKind::kAesTtable:
-      r.victim.rounds = resolve_defaulted(spec, "rounds", r.victim.rounds);
-      require_unused_zero(spec, "bits", victim);
-      require_unused_zero(spec, "slots", victim);
-      require_unused_zero(spec, "fill", victim);
-      break;
-    case ScenarioKind::kModexp:
-      r.victim.bits = resolve_defaulted(spec, "bits", r.victim.bits);
-      require_unused_zero(spec, "rounds", victim);
-      require_unused_zero(spec, "slots", victim);
-      require_unused_zero(spec, "fill", victim);
-      break;
-    case ScenarioKind::kHashProbe:
-      r.victim.slots = resolve_defaulted(spec, "slots", r.victim.slots);
-      r.victim.fill = resolve_defaulted(spec, "fill", r.victim.fill);
-      require_unused_zero(spec, "bits", victim);
-      require_unused_zero(spec, "rounds", victim);
-      break;
-  }
+                   "' (accepted: " + accepted + ")");
+  // Another victim's knob must stay at its 0 fallback — a non-zero value
+  // would be silently ignored.
+  for (const HarnessedRow& other : scenario_rows())
+    for (const KernelKey& key : other.keys)
+      if (!row_has_key(*row, key.name) && spec.get_u64(key.name, 0) != 0)
+        throw SimError("workload '" + spec.name + "': parameter '" +
+                       key.name + "' does not apply to victim '" + victim +
+                       "'");
+  // Every victim knob defaults at 0, so the catalog shows one default for
+  // all three victims; the victim row's ranges still apply.
+  const KernelArgs knobs =
+      resolve_keys(row->keys, spec, /*zero_is_default_everywhere=*/true);
+  const KernelArgs co = resolve_keys(attack_keys(), spec);
+  r.set_bits = co["set_bits"];
+  r.quantum = co["quantum"];
+  r.passes = co["passes"];
 
-  r.set_bits = resolve_defaulted(spec, "set_bits", 4);
-  if (r.set_bits > 8)
-    throw SimError("workload '" + spec.name + "': set_bits=" +
-                   std::to_string(r.set_bits) +
-                   " out of range [1, 8] (DL1 has 2^8 sets)");
-  r.quantum = resolve_defaulted(spec, "quantum", 2000);
-  spec.set_default_u64("passes", 0);
-  r.passes = spec.get_u64("passes", 0);
-  if (r.passes > (1u << 20))
-    throw SimError("workload '" + spec.name + "': passes=" +
-                   std::to_string(r.passes) + " out of range [0, 2^20]");
-
-  spec.set_default_u64("width", 1);
-  spec.set_default_u64("iters", 4);
-  spec.set_default("secrets", "1");
-  spec.set_default_u64("seed", 42);
-  r.victim.seed = spec.get_u64("seed", 42);
+  apply_harness_defaults(spec);
+  r.seed = spec.get_u64("seed", 42);
   r.harness = harness_config_from_spec(spec, variant);
+  if (r.harness.width == 0)
+    throw SimError("workload '" + spec.name +
+                   "': width=0 out of range [1, 30] (one flat level per "
+                   "secret bit)");
+  r.victim = row->make(knobs, r.seed);
+  r.victim.name = row->name;
   r.spec = std::move(spec);
   return r;
 }
@@ -189,30 +193,11 @@ class AttackGenerator final : public WorkloadGenerator {
     return static_cast<usize>(spec.get_u64("width", 1));
   }
 
-  std::vector<ParamInfo> params() const override {
-    std::vector<ParamInfo> out = {
-        {"victim", "crypto.modexp",
-         "victim kernel: crypto.aes, crypto.modexp, or ds.hash_probe"},
-        {"size", "0", "victim problem size (0 = victim default)"},
-        {"bits", "0", "crypto.modexp exponent bits (0 = default)"},
-        {"rounds", "0", "crypto.aes round passes (0 = default)"},
-        {"slots", "0", "ds.hash_probe table slots (0 = default)"},
-        {"fill", "0", "ds.hash_probe occupancy per mille (0 = default)"},
-        {"set_bits", "4", "watched DL1 sets (or lines) per secret bit: 2^n"},
-        {"quantum", "2000", "scheduler quantum in cycles (0 = default)"},
-        {"passes", "0", "probe passes (0 = auto-calibrate vs the victim)"},
-    };
-    out.push_back({"width", "1", "secret bits (one flat level per bit)"});
-    out.push_back({"iters", "4", "victim harness iterations"});
-    out.push_back({"secrets", "1", "0/1 string or 0bNNN mask literal"});
-    out.push_back({"seed", "42", "victim input-image seed"});
-    return out;
-  }
+  std::vector<ParamInfo> params() const override { return attack_params(); }
 
   BuiltWorkload build(const WorkloadSpec& in, Variant variant) const override {
     const ResolvedAttack r = resolve_attack(in, variant);
-    BuiltHarness b =
-        build_flat_harness(scenario_kernel_spec(r.victim), r.harness);
+    BuiltHarness b = build_flat_harness(r.victim, r.harness);
     BuiltWorkload out;
     out.program = std::move(b.program);
     out.spec = r.spec.to_string();
@@ -235,7 +220,7 @@ AttackOutcome AttackGenerator::run_attack(const WorkloadSpec& in,
                                           Variant variant,
                                           cpu::ExecMode victim_mode) const {
   const ResolvedAttack r = resolve_attack(in, variant);
-  const KernelSpec kspec = scenario_kernel_spec(r.victim);
+  const KernelSpec& kspec = r.victim;
   const BuiltHarness victim = build_flat_harness(kspec, r.harness);
   const usize W = r.harness.width;
 
@@ -361,7 +346,7 @@ AttackOutcome AttackGenerator::run_attack(const WorkloadSpec& in,
 
   // -------------------------------------------------------------------------
   // Attacker program.
-  Rng rng(r.victim.seed * 0x9E3779B97F4A7C15ull ^ 0xA77AC4ull);
+  Rng rng(r.seed * 0x9E3779B97F4A7C15ull ^ 0xA77AC4ull);
   ProgramBuilder apb;
   Addr probe_base = 0;  // prime+probe chase region
   const auto emit_pass_loop = [&](const std::vector<std::pair<isa::Reg,

@@ -16,8 +16,9 @@
 //       ("flush"), then reloads them; a DL1-hit reload means the victim
 //       touched the line since the evict.
 //
-// Both take a `victim=` parameter naming a scenario kernel (crypto.aes,
-// crypto.modexp, ds.hash_probe) plus that kernel's own knobs, the shared
+// Both take a `victim=` parameter naming a scenario row (crypto.aes,
+// crypto.modexp, ds.hash_probe) plus that row's own knobs (0 means the
+// row's default; the row's ranges apply, workloads/scenarios.h), the shared
 // harness keys, and the co-residence knobs set_bits (watched sets per
 // secret bit: 2^set_bits), quantum (scheduler quantum in cycles), and
 // passes (probe passes; 0 auto-calibrates against the victim's all-ones

@@ -30,6 +30,18 @@ void emit_out_slot(ProgramBuilder& pb, const KernelParams& p, isa::Reg sum,
   }
 }
 
+KernelKey size_key(u64 fallback, u64 min, u64 max, const char* help) {
+  return {.name = "size", .fallback = fallback, .min = min, .max = max,
+          .help = help, .zero_is_default = true};
+}
+
+u64 KernelArgs::operator[](std::string_view key) const {
+  for (const auto& [k, v] : values_)
+    if (k == key) return v;
+  SEMPE_CHECK_MSG(false, workload_ << ": key '" << key << "' not resolved");
+  return 0;  // unreachable: SEMPE_CHECK throws
+}
+
 std::vector<u8> secrets_from_mask(u64 mask, usize width) {
   SEMPE_CHECK_MSG(width >= 64 || (mask >> width) == 0,
                   "secret mask 0x" << std::hex << mask << std::dec

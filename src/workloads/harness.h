@@ -1,10 +1,9 @@
 // The generalized Fig. 7 evaluation harness: I iterations of W nested
 // secret-dependent conditionals, each guarding one kernel body, with the
 // (W+1)-th body executing unconditionally after the nest. This is the
-// skeleton every workload generator plugs into — the microbenchmark kinds
+// skeleton every harnessed workload plugs into — the microbenchmark kinds
 // (workloads/kernels.h), the synthetic kernel family
-// (workloads/synthetic.h), and any future generator registered with
-// workloads/registry.h.
+// (workloads/synthetic.h) and the scenario pack (workloads/scenarios.h).
 //
 // A kernel contributes a KernelSpec: its shared read-only input image,
 // per-level private buffer sizes, two emitters (natural and CTE/masked),
@@ -12,9 +11,19 @@
 // The harness owns everything else: data layout, the sJMP/eosJMP nest,
 // the CMOV merge phase (kSecure) or the guard-mask chain (kCte), and the
 // expected merged results.
+//
+// Each harnessed workload is one HarnessedRow: its registry name, a line
+// of prose, its kernel keys (name, default, range, help — each declared
+// once) and a `make` that turns the resolved key values into a
+// KernelSpec. The registry's one HarnessedGenerator derives everything
+// else from the row (workloads/registry.h), in the spirit of scarab's
+// kernel table, where one table names every synthetic kernel once.
 #pragma once
 
 #include <functional>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "isa/program.h"
@@ -44,6 +53,62 @@ struct KernelSpec {
   std::function<void(isa::ProgramBuilder&, const KernelParams&)> emit;
   std::function<void(isa::ProgramBuilder&, const KernelParams&)> emit_cte;
 };
+
+/// How a kernel key's value is checked beyond its [min, max] range.
+enum class KeyRule : u8 { kRange, kMultipleOf8, kPowerOfTwo };
+
+class KernelArgs;
+
+/// One numeric key of a harnessed row, declared once: the generator
+/// derives the accepted-key list, the catalog line, canonical defaulting
+/// and the range check from it.
+struct KernelKey {
+  const char* name;
+  u64 fallback;  // default, as the catalog shows it
+  u64 min;       // accepted range, inclusive
+  u64 max;
+  const char* help;
+  /// 0 (or absence) means "use the default", and the canonical spec
+  /// echoes the resolved value. Otherwise 0 is a literal value and the
+  /// typed text is echoed unchanged.
+  bool zero_is_default = false;
+  KeyRule rule = KeyRule::kRange;
+  /// A default computed from the keys resolved before this one (only with
+  /// zero_is_default; `fallback` is then 0).
+  u64 (*derive)(const KernelArgs& earlier) = nullptr;
+};
+
+/// The `size` key every harnessed row leads with; 0 means `fallback`.
+KernelKey size_key(u64 fallback, u64 min, u64 max, const char* help);
+
+/// The resolved values of a row's keys, in row order, for `make`.
+class KernelArgs {
+ public:
+  explicit KernelArgs(std::string workload) : workload_(std::move(workload)) {}
+  /// The resolved value of `key`; CHECK-fails on a key not resolved yet.
+  u64 operator[](std::string_view key) const;
+  void add(std::string key, u64 value) {
+    values_.emplace_back(std::move(key), value);
+  }
+  /// The workload name, for spec-level diagnostics.
+  const std::string& workload() const { return workload_; }
+
+ private:
+  std::string workload_;
+  std::vector<std::pair<std::string, u64>> values_;
+};
+
+/// One harnessed workload. `make` builds the kernel from the resolved key
+/// values and the input-image seed; the generator names the KernelSpec.
+struct HarnessedRow {
+  const char* name;     // registry name, e.g. "synthetic.ptr_chase"
+  const char* summary;  // prose; the catalog appends " (keys..., seed)"
+  std::vector<KernelKey> keys;  // canonical order
+  KernelSpec (*make)(const KernelArgs& args, u64 seed);
+};
+
+/// The Fig. 7 microbenchmark rows (micro.*), in declaration order.
+const std::vector<HarnessedRow>& micro_rows();
 
 struct HarnessConfig {
   usize width = 1;          // W: number of secret branches per iteration

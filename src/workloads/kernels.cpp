@@ -607,4 +607,76 @@ u64 expected_checksum(Kind kd, usize size, const std::vector<i64>& input) {
   bad_kind(kd);
 }
 
+namespace {
+
+/// The harness-facing form of one microbenchmark kernel.
+template <Kind K>
+KernelSpec micro_spec(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"];
+  KernelSpec s;
+  s.size = size;
+  s.input = make_input(K, size, seed);
+  s.buf_words = kernel_buf_words(K, size);
+  s.aux_words = kernel_aux_words(K, size);
+  s.expected = expected_checksum(K, size, s.input);
+  s.emit = [](ProgramBuilder& pb, const KernelParams& p) {
+    emit_kernel(pb, K, p);
+  };
+  s.emit_cte = [](ProgramBuilder& pb, const KernelParams& p) {
+    emit_kernel_cte(pb, K, p);
+  };
+  if (K == Kind::kQueens && (size < 2 || size > 8)) {
+    // The CTE odometer enumerates all N^N placements in 8 column
+    // registers; a CTE build of another size fails when it emits a level.
+    const std::string what = "workload '" + args.workload() + "': size=" +
+                             std::to_string(size) +
+                             " out of range [2, 8] for the CTE variant";
+    s.emit_cte = [what](ProgramBuilder&, const KernelParams&) {
+      throw SimError(what);
+    };
+  }
+  return s;
+}
+
+KernelKey micro_size(Kind kind, u64 max) {
+  return size_key(kernel_default_size(kind), 1, max,
+                  "problem size (loop count / elements / board size)");
+}
+
+}  // namespace
+
+// The microbenchmark of Figure 7: I iterations of W nested secret-dependent
+// conditionals, each guarding one kernel body, with body W+1 executing
+// unconditionally after the nest.
+//
+//   for (i = 0; i < I; i++) {
+//     if (s1) { workload1;
+//       if (s2) { workload2;
+//         ... if (sW) { workloadW } ... } }
+//     workload_{W+1};
+//   }
+//
+// kSecure builds the sJMP-annotated binary, kCte the FaCT-style
+// constant-time version. The CTE transform is *optimistic* (a linear guard
+// chain rather than the canonical expansion of Fig. 2b), so CTE costs
+// measured here are a lower bound — comparisons favor CTE. width=0 builds
+// the loop with only body W+1: one path, the unit of the standalone
+// sum-of-paths ideal (Fig. 10b).
+const std::vector<HarnessedRow>& micro_rows() {
+  constexpr u64 kMaxSize = 1u << 20;
+  static const std::vector<HarnessedRow> rows = {
+      {"micro.fibonacci", "Fig. 7 fibonacci microbenchmark",
+       {micro_size(Kind::kFibonacci, kMaxSize)}, micro_spec<Kind::kFibonacci>},
+      {"micro.ones", "Fig. 7 ones microbenchmark",
+       {micro_size(Kind::kOnes, kMaxSize)}, micro_spec<Kind::kOnes>},
+      {"micro.quicksort", "Fig. 7 quicksort microbenchmark",
+       {micro_size(Kind::kQuicksort, kMaxSize)}, micro_spec<Kind::kQuicksort>},
+      // Queens' host-mirror backtracking search is exponential in size; an
+      // unbounded size would hang the build, not just slow the simulation.
+      {"micro.queens", "Fig. 7 queens microbenchmark",
+       {micro_size(Kind::kQueens, 12)}, micro_spec<Kind::kQueens>},
+  };
+  return rows;
+}
+
 }  // namespace sempe::workloads

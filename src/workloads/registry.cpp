@@ -103,16 +103,15 @@ void WorkloadSpec::set(const std::string& key, const std::string& value) {
   params.emplace_back(key, value);
 }
 
-void WorkloadSpec::check_keys(
-    std::initializer_list<const char*> allowed) const {
+void WorkloadSpec::check_keys(const std::vector<ParamInfo>& accepted) const {
   for (const auto& [k, v] : params) {
     bool ok = false;
-    for (const char* a : allowed) ok = ok || k == a;
+    for (const ParamInfo& a : accepted) ok = ok || k == a.key;
     if (!ok) {
       std::string keys;
-      for (const char* a : allowed) {
+      for (const ParamInfo& a : accepted) {
         if (!keys.empty()) keys += ", ";
-        keys += a;
+        keys += a.key;
       }
       throw SimError("workload '" + name + "': unknown parameter '" + k +
                      "' (accepted: " + keys + ")");
@@ -180,126 +179,116 @@ HarnessConfig harness_config_from_spec(const WorkloadSpec& spec,
 
 namespace {
 
-/// Canonicalize the harness keys shared by every harnessed generator.
-/// One definition so micro.* and synthetic.* cannot drift apart.
+/// The harness keys every harnessed workload accepts after its kernel
+/// keys, with their defaults.
+const std::vector<ParamInfo>& harness_params() {
+  static const std::vector<ParamInfo> params = {
+      {"width", "1", "secret-branch nesting depth W"},
+      {"iters", "4", "harness iterations"},
+      {"secrets", "1", "0/1 string or 0bNNN mask literal"},
+      {"seed", "42", "input-image seed"},
+  };
+  return params;
+}
+
+}  // namespace
+
 void apply_harness_defaults(WorkloadSpec& spec) {
-  spec.set_default_u64("width", 1);
-  spec.set_default_u64("iters", 4);
-  spec.set_default("secrets", "1");
-  spec.set_default_u64("seed", 42);
+  for (const ParamInfo& p : harness_params())
+    spec.set_default(p.key, p.fallback);
 }
 
-/// Resolve a numeric key where 0 (or absence) means "use the default",
-/// writing the resolved value back so the canonical spec echoes what
-/// actually ran — an explicit `size=0` must not leak into the emitters.
-usize resolve_defaulted(WorkloadSpec& spec, const char* key, u64 dflt) {
-  u64 v = spec.get_u64(key, 0);
-  if (v == 0) v = dflt;
-  spec.set(key, std::to_string(v));
-  return static_cast<usize>(v);
+KernelArgs resolve_keys(const std::vector<KernelKey>& keys, WorkloadSpec& spec,
+                        bool zero_is_default_everywhere) {
+  KernelArgs args(spec.name);
+  for (const KernelKey& key : keys) {
+    u64 v = 0;
+    if (key.zero_is_default || zero_is_default_everywhere) {
+      // Write the resolved value back so the canonical spec echoes what
+      // actually ran — an explicit `size=0` must not reach the emitters.
+      v = spec.get_u64(key.name, 0);
+      if (v == 0) v = key.derive != nullptr ? key.derive(args) : key.fallback;
+      spec.set(key.name, std::to_string(v));
+    } else {
+      spec.set_default_u64(key.name, key.fallback);
+      v = spec.get_u64(key.name, key.fallback);
+    }
+    const std::string what = "workload '" + spec.name + "': " + key.name +
+                             "=" + std::to_string(v);
+    if (v < key.min || v > key.max)
+      throw SimError(what + " out of range [" + std::to_string(key.min) +
+                     ", " + std::to_string(key.max) + "]");
+    if (key.rule == KeyRule::kMultipleOf8 && v % 8 != 0)
+      throw SimError(what + " is not a multiple of 8");
+    if (key.rule == KeyRule::kPowerOfTwo && (v & (v - 1)) != 0)
+      throw SimError(what + " is not a power of two");
+    args.add(key.name, v);
+  }
+  return args;
 }
 
-BuiltWorkload from_harness(BuiltHarness b, std::string canonical) {
-  BuiltWorkload out;
-  out.program = std::move(b.program);
-  out.spec = std::move(canonical);
-  out.results_addr = b.results_addr;
-  out.num_results = b.num_results;
-  out.expected_results = std::move(b.expected_results);
-  return out;
+std::vector<std::string> row_sweep_specs(const std::vector<HarnessedRow>& rows,
+                                         usize iters) {
+  std::vector<std::string> specs;
+  for (const HarnessedRow& row : rows)
+    for (const usize w : {usize{1}, usize{4}})
+      for (const char* secrets : {"0", "1"})
+        specs.push_back(std::string(row.name) + "?width=" + std::to_string(w) +
+                        "&iters=" + std::to_string(iters) +
+                        "&secrets=" + secrets);
+  return specs;
 }
 
-/// The harness keys every harnessed generator accepts, for params().
-void append_harness_params(std::vector<ParamInfo>& out) {
-  out.push_back({"width", "1", "secret-branch nesting depth W"});
-  out.push_back({"iters", "4", "harness iterations"});
-  out.push_back({"secrets", "1", "0/1 string or 0bNNN mask literal"});
-  out.push_back({"seed", "42", "input-image seed"});
-}
+namespace {
 
 // ---------------------------------------------------------------------------
 // Built-in generators
 // ---------------------------------------------------------------------------
 
-/// The harness-facing form of one microbenchmark kernel.
-KernelSpec microbench_kernel_spec(Kind kind, usize size, u64 input_seed) {
-  KernelSpec s;
-  s.name = std::string("micro.") + kind_name(kind);
-  s.size = size;
-  s.input = make_input(kind, size, input_seed);
-  s.buf_words = kernel_buf_words(kind, size);
-  s.aux_words = kernel_aux_words(kind, size);
-  s.expected = expected_checksum(kind, size, s.input);
-  s.emit = [kind](isa::ProgramBuilder& pb, const KernelParams& p) {
-    emit_kernel(pb, kind, p);
-  };
-  s.emit_cte = [kind](isa::ProgramBuilder& pb, const KernelParams& p) {
-    emit_kernel_cte(pb, kind, p);
-  };
-  return s;
-}
-
-// The microbenchmark of Figure 7: I iterations of W nested secret-dependent
-// conditionals, each guarding one kernel body (workloads/kernels.h), with
-// body W+1 executing unconditionally after the nest.
-//
-//   for (i = 0; i < I; i++) {
-//     if (s1) { workload1;
-//       if (s2) { workload2;
-//         ... if (sW) { workloadW } ... } }
-//     workload_{W+1};
-//   }
-//
-// kSecure builds the sJMP-annotated binary, kCte the FaCT-style
-// constant-time version. The CTE transform is *optimistic* (a linear guard
-// chain rather than the canonical expansion of Fig. 2b), so CTE costs
-// measured here are a lower bound — comparisons favor CTE. width=0 builds
-// the loop with only body W+1: one path, the unit of the standalone
-// sum-of-paths ideal (Fig. 10b).
-class MicrobenchGenerator final : public WorkloadGenerator {
+/// Every harnessed workload: one row (workloads/harness.h) wrapped in the
+/// Fig. 7 harness. Accepted keys, catalog lines, canonical defaulting and
+/// range checks all come from the row.
+class HarnessedGenerator final : public WorkloadGenerator {
  public:
-  explicit MicrobenchGenerator(Kind kind) : kind_(kind) {}
+  explicit HarnessedGenerator(const HarnessedRow& row) : row_(row) {}
 
-  std::string name() const override {
-    return std::string("micro.") + kind_name(kind_);
-  }
+  std::string name() const override { return row_.name; }
   std::string summary() const override {
-    return std::string("Fig. 7 ") + kind_name(kind_) +
-           " microbenchmark (size, width, iters, secrets, seed)";
+    std::string keys;
+    for (const ParamInfo& p : params())
+      keys += (keys.empty() ? "" : ", ") + p.key;
+    return std::string(row_.summary) + " (" + keys + ")";
   }
   usize secret_width(const WorkloadSpec& spec) const override {
     return static_cast<usize>(spec.get_u64("width", 1));
   }
   std::vector<ParamInfo> params() const override {
-    std::vector<ParamInfo> out = {
-        {"size", std::to_string(kernel_default_size(kind_)),
-         "problem size (loop count / elements / board size)"}};
-    append_harness_params(out);
+    std::vector<ParamInfo> out;
+    for (const KernelKey& key : row_.keys)
+      out.push_back({key.name, std::to_string(key.fallback), key.help});
+    out.insert(out.end(), harness_params().begin(), harness_params().end());
     return out;
   }
   BuiltWorkload build(const WorkloadSpec& in, Variant variant) const override {
     WorkloadSpec spec = in;
-    spec.check_keys({"size", "width", "iters", "secrets", "seed"});
-    const usize size =
-        resolve_defaulted(spec, "size", kernel_default_size(kind_));
-    // Queens' host-mirror backtracking search is exponential in size; an
-    // unbounded size would hang the build, not just slow the simulation.
-    const usize size_cap = kind_ == Kind::kQueens ? 12 : (1u << 20);
-    if (size > size_cap)
-      throw SimError("workload '" + name() + "': size=" +
-                     std::to_string(size) + " out of range [1, " +
-                     std::to_string(size_cap) + "]");
+    spec.check_keys(params());
+    const KernelArgs args = resolve_keys(row_.keys, spec);
     apply_harness_defaults(spec);
-
-    const u64 seed = spec.get_u64("seed", 42);
     const HarnessConfig h = harness_config_from_spec(spec, variant);
-    return from_harness(
-        build_harness(microbench_kernel_spec(kind_, size, seed), h),
-        spec.to_string());
+    KernelSpec kernel = row_.make(args, spec.get_u64("seed", 42));
+    kernel.name = row_.name;
+    BuiltHarness b = build_harness(kernel, h);
+    BuiltWorkload out;
+    out.program = std::move(b.program);
+    out.spec = spec.to_string();
+    out.results_addr = b.results_addr;
+    out.num_results = b.num_results;
+    out.expected_results = std::move(b.expected_results);
+    return out;
   }
 
  private:
-  Kind kind_;
+  const HarnessedRow& row_;
 };
 
 class DjpegGenerator final : public WorkloadGenerator {
@@ -320,7 +309,7 @@ class DjpegGenerator final : public WorkloadGenerator {
     if (variant == Variant::kCte)
       throw SimError("workload 'djpeg' has no CTE variant");
     WorkloadSpec spec = in;
-    spec.check_keys({"format", "pixels", "scale", "seed"});
+    spec.check_keys(params());
     spec.set_default("format", "ppm");
     spec.set_default_u64("pixels", 256 * 1024);
     spec.set_default_u64("scale", 8);
@@ -357,224 +346,6 @@ class DjpegGenerator final : public WorkloadGenerator {
   }
 };
 
-class SyntheticGenerator final : public WorkloadGenerator {
- public:
-  explicit SyntheticGenerator(SynthKind kind) : kind_(kind) {}
-
-  std::string name() const override {
-    return std::string("synthetic.") + synth_name(kind_);
-  }
-  std::string summary() const override {
-    switch (kind_) {
-      case SynthKind::kPtrChase:
-        return "pointer-chase memory-latency kernel (size, stride, steps" +
-               common();
-      case SynthKind::kStream:
-        return "streaming bandwidth kernel (size" + common();
-      case SynthKind::kCondBranch:
-        return "conditional branches, tunable taken ratio (size, taken" +
-               common();
-      case SynthKind::kIndirect:
-        return "indirect-branch target-pool stress (size, targets" + common();
-      case SynthKind::kIlpChain:
-        return "ILP dependence chains (size, chains, depth" + common();
-      case SynthKind::kSecretMix:
-        return "mixed secret-region stressor (size" + common();
-    }
-    synth_name(kind_);  // CHECK-fails on out-of-range values
-    std::abort();       // unreachable
-  }
-
-  usize secret_width(const WorkloadSpec& spec) const override {
-    return static_cast<usize>(spec.get_u64("width", 1));
-  }
-
-  std::vector<ParamInfo> params() const override {
-    std::vector<ParamInfo> out = {
-        {"size", std::to_string(synth_default_size(kind_)),
-         "elements / steps per kernel execution"}};
-    switch (kind_) {
-      case SynthKind::kPtrChase:
-        out.push_back({"stride", "64", "element spacing in bytes"});
-        out.push_back({"steps", "0", "chase length (0 = 2*size+1)"});
-        break;
-      case SynthKind::kCondBranch:
-        out.push_back({"taken", "500", "P(taken) in per mille"});
-        break;
-      case SynthKind::kIndirect:
-        out.push_back({"targets", "8", "indirect target pool size"});
-        break;
-      case SynthKind::kIlpChain:
-        out.push_back({"chains", "4", "independent dependence chains"});
-        out.push_back({"depth", "8", "dependent ops per chain per step"});
-        break;
-      case SynthKind::kStream:
-      case SynthKind::kSecretMix:
-        break;
-    }
-    append_harness_params(out);
-    return out;
-  }
-
-  BuiltWorkload build(const WorkloadSpec& in, Variant variant) const override {
-    WorkloadSpec spec = in;
-    SynthConfig cfg;
-    cfg.kind = kind_;
-    switch (kind_) {
-      case SynthKind::kPtrChase:
-        spec.check_keys(
-            {"size", "stride", "steps", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", synth_default_size(kind_));
-        spec.set_default_u64("stride", cfg.stride);
-        cfg.stride = spec.get_u64("stride", cfg.stride);
-        // 2*size+1: off the lap boundary, so the checksum stays
-        // chase-order sensitive (see synth_kernel_spec).
-        cfg.steps = resolve_defaulted(spec, "steps", 2 * cfg.size + 1);
-        break;
-      case SynthKind::kCondBranch: {
-        spec.check_keys({"size", "taken", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", synth_default_size(kind_));
-        spec.set_default_u64("taken", cfg.taken_permille);
-        // Range-check before the u32 narrowing: 2^32+1000 must not wrap
-        // into a value the downstream check would accept.
-        const u64 taken = spec.get_u64("taken", cfg.taken_permille);
-        if (taken > 1000)
-          throw SimError("workload '" + name() + "': taken=" +
-                         std::to_string(taken) +
-                         " exceeds 1000 per mille");
-        cfg.taken_permille = static_cast<u32>(taken);
-        break;
-      }
-      case SynthKind::kIndirect:
-        spec.check_keys(
-            {"size", "targets", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", synth_default_size(kind_));
-        spec.set_default_u64("targets", cfg.targets);
-        cfg.targets = spec.get_u64("targets", cfg.targets);
-        break;
-      case SynthKind::kIlpChain:
-        spec.check_keys(
-            {"size", "chains", "depth", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", synth_default_size(kind_));
-        spec.set_default_u64("chains", cfg.chains);
-        spec.set_default_u64("depth", cfg.depth);
-        cfg.chains = spec.get_u64("chains", cfg.chains);
-        cfg.depth = spec.get_u64("depth", cfg.depth);
-        break;
-      case SynthKind::kStream:
-      case SynthKind::kSecretMix:
-        spec.check_keys({"size", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", synth_default_size(kind_));
-        break;
-    }
-    apply_harness_defaults(spec);
-    cfg.seed = spec.get_u64("seed", 42);
-
-    const HarnessConfig h = harness_config_from_spec(spec, variant);
-    return from_harness(build_harness(synth_kernel_spec(cfg), h),
-                        spec.to_string());
-  }
-
- private:
-  static std::string common() { return ", width, iters, secrets, seed)"; }
-
-  SynthKind kind_;
-};
-
-class ScenarioGenerator final : public WorkloadGenerator {
- public:
-  explicit ScenarioGenerator(ScenarioKind kind) : kind_(kind) {}
-
-  std::string name() const override { return scenario_name(kind_); }
-
-  std::string summary() const override {
-    switch (kind_) {
-      case ScenarioKind::kAesTtable:
-        return "S-box/T-table cipher round passes, the cache-channel "
-               "victim; CTE scans the whole table (size, rounds" +
-               common();
-      case ScenarioKind::kModexp:
-        return "square-and-multiply modular exponentiation, the "
-               "fetch/timing-channel victim (size, bits" +
-               common();
-      case ScenarioKind::kHashProbe:
-        return "open-addressing hash-table probing with data-dependent "
-               "chain lengths (size, slots, fill" +
-               common();
-    }
-    scenario_name(kind_);  // CHECK-fails on out-of-range values
-    std::abort();          // unreachable
-  }
-
-  usize secret_width(const WorkloadSpec& spec) const override {
-    return static_cast<usize>(spec.get_u64("width", 1));
-  }
-
-  std::vector<ParamInfo> params() const override {
-    std::vector<ParamInfo> out = {
-        {"size", std::to_string(scenario_default_size(kind_)),
-         kind_ == ScenarioKind::kAesTtable
-             ? "state words per round pass"
-             : (kind_ == ScenarioKind::kModexp ? "bases exponentiated"
-                                               : "probe lookups")}};
-    switch (kind_) {
-      case ScenarioKind::kAesTtable:
-        out.push_back({"rounds", "2", "T-table round passes"});
-        break;
-      case ScenarioKind::kModexp:
-        out.push_back({"bits", "16", "exponent bits per base"});
-        break;
-      case ScenarioKind::kHashProbe:
-        out.push_back({"slots", "64", "table slots (power of two)"});
-        out.push_back({"fill", "750", "occupancy in per mille"});
-        break;
-    }
-    append_harness_params(out);
-    return out;
-  }
-
-  BuiltWorkload build(const WorkloadSpec& in, Variant variant) const override {
-    WorkloadSpec spec = in;
-    ScenarioConfig cfg;
-    cfg.kind = kind_;
-    switch (kind_) {
-      case ScenarioKind::kAesTtable:
-        spec.check_keys(
-            {"size", "rounds", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", scenario_default_size(kind_));
-        spec.set_default_u64("rounds", cfg.rounds);
-        cfg.rounds = spec.get_u64("rounds", cfg.rounds);
-        break;
-      case ScenarioKind::kModexp:
-        spec.check_keys({"size", "bits", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", scenario_default_size(kind_));
-        spec.set_default_u64("bits", cfg.bits);
-        cfg.bits = spec.get_u64("bits", cfg.bits);
-        break;
-      case ScenarioKind::kHashProbe:
-        spec.check_keys(
-            {"size", "slots", "fill", "width", "iters", "secrets", "seed"});
-        cfg.size = resolve_defaulted(spec, "size", scenario_default_size(kind_));
-        spec.set_default_u64("slots", cfg.slots);
-        spec.set_default_u64("fill", cfg.fill);
-        cfg.slots = spec.get_u64("slots", cfg.slots);
-        cfg.fill = spec.get_u64("fill", cfg.fill);
-        break;
-    }
-    apply_harness_defaults(spec);
-    cfg.seed = spec.get_u64("seed", 42);
-
-    const HarnessConfig h = harness_config_from_spec(spec, variant);
-    return from_harness(build_harness(scenario_kernel_spec(cfg), h),
-                        spec.to_string());
-  }
-
- private:
-  static std::string common() { return ", width, iters, secrets, seed)"; }
-
-  ScenarioKind kind_;
-};
-
 }  // namespace
 
 AttackOutcome WorkloadGenerator::run_attack(const WorkloadSpec& spec,
@@ -597,14 +368,10 @@ security::TaintSeeds WorkloadGenerator::taint_seeds(
 // ---------------------------------------------------------------------------
 
 WorkloadRegistry::WorkloadRegistry() {
-  for (const Kind kd : {Kind::kFibonacci, Kind::kOnes, Kind::kQuicksort,
-                        Kind::kQueens})
-    add(std::make_unique<MicrobenchGenerator>(kd));
+  for (const auto* rows : {&micro_rows(), &synthetic_rows(), &scenario_rows()})
+    for (const HarnessedRow& row : *rows)
+      add(std::make_unique<HarnessedGenerator>(row));
   add(std::make_unique<DjpegGenerator>());
-  for (const SynthKind kd : all_synth_kinds())
-    add(std::make_unique<SyntheticGenerator>(kd));
-  for (const ScenarioKind kd : all_scenario_kinds())
-    add(std::make_unique<ScenarioGenerator>(kd));
   register_attack_workloads(*this);
 }
 

@@ -1,7 +1,6 @@
-// Pluggable workload registry: every workload source — the microbenchmark
-// kernels, djpeg, the synthetic kernel family, and anything a future PR
-// adds — implements one WorkloadGenerator interface and registers itself
-// by name, so callers resolve textual specs like
+// Pluggable workload registry: every workload source implements one
+// WorkloadGenerator interface and registers itself by name, so callers
+// resolve textual specs like
 //
 //   micro.quicksort?width=3&iters=10
 //   synthetic.ptr_chase?size=4096&stride=64
@@ -11,6 +10,12 @@
 // needs (results address, host-computed expected results). The spec
 // grammar is `name` or `name?key=val&key=val...`; generators reject
 // unknown keys so typos fail loudly.
+//
+// The harnessed workloads (micro.*, synthetic.*, crypto.*, ds.*) are
+// one HarnessedRow each (workloads/harness.h), served by one generator
+// that derives accepted keys, catalog lines, canonical defaulting and
+// range checks from the row. djpeg and the co-residence attacks
+// (workloads/attack.h) keep their own generators.
 //
 // This mirrors codes-workload's uniform generator-method API: many
 // workload sources, one interface, one lookup path (SNIPPETS.md entry 3).
@@ -27,6 +32,16 @@
 #include "workloads/harness.h"
 
 namespace sempe::workloads {
+
+/// One accepted parameter of a generator, for `--list-workloads` and the
+/// README catalog: the key, its default as it would appear in a canonical
+/// spec ("0" when the default is derived from other keys), and a short
+/// meaning.
+struct ParamInfo {
+  std::string key;
+  std::string fallback;
+  std::string help;
+};
 
 /// A parsed `name?key=val&...` workload spec. Parameter order is
 /// preserved, so a canonical spec round-trips through parse/to_string.
@@ -48,8 +63,8 @@ struct WorkloadSpec {
   /// Overwrite the key's value (append if absent), preserving position —
   /// so a canonical spec echoes the value actually used.
   void set(const std::string& key, const std::string& value);
-  /// Throws SimError if any parameter key is not in `allowed`.
-  void check_keys(std::initializer_list<const char*> allowed) const;
+  /// Throws SimError if any parameter key is not one of `accepted`.
+  void check_keys(const std::vector<ParamInfo>& accepted) const;
 };
 
 /// A resolved, runnable workload: the program plus the metadata the
@@ -77,16 +92,6 @@ struct AttackOutcome {
   std::string mismatch;      // first victim result mismatch, "" when ok
 };
 
-/// One accepted parameter of a generator, for `--list-workloads` and the
-/// README catalog: the key, its default as it would appear in a canonical
-/// spec ("0" when the default is derived from other keys), and a short
-/// meaning.
-struct ParamInfo {
-  std::string key;
-  std::string fallback;
-  std::string help;
-};
-
 /// One workload source. Implementations must be stateless: build() may be
 /// called concurrently from the batch runner's worker threads.
 class WorkloadGenerator {
@@ -95,9 +100,8 @@ class WorkloadGenerator {
   virtual std::string name() const = 0;
   /// One-line description incl. accepted parameter keys (for --list).
   virtual std::string summary() const = 0;
-  /// Every accepted parameter with its default. Built-in generators all
-  /// implement this; the default is for minimal third-party generators.
-  virtual std::vector<ParamInfo> params() const { return {}; }
+  /// Every accepted parameter with its default, in canonical order.
+  virtual std::vector<ParamInfo> params() const = 0;
   /// Whether build(…, Variant::kCte) is meaningful for this source.
   virtual bool has_cte_variant() const { return true; }
   /// Number of independent secret bits `spec` exposes — the dimension the
@@ -121,12 +125,12 @@ class WorkloadGenerator {
   virtual AttackOutcome run_attack(const WorkloadSpec& spec, Variant variant,
                                    cpu::ExecMode victim_mode) const;
   /// Where the secret bits of a build of `spec` live in memory — the seed
-  /// of the static taint lint (security/taint_lint.h). The default follows
-  /// the harness convention: the whole allocation loaded through rSecrets
-  /// (workloads/workload_regs.h), or no seeds when secret_width(spec) is 0
-  /// (the workload exposes no settable secret vector, e.g. djpeg).
-  virtual security::TaintSeeds taint_seeds(const WorkloadSpec& spec,
-                                           const isa::Program& program) const;
+  /// of the static taint lint (security/taint_lint.h). Every generator
+  /// follows the harness convention: the whole allocation loaded through
+  /// rSecrets (workloads/workload_regs.h), or no seeds when
+  /// secret_width(spec) is 0 (no settable secret vector, e.g. djpeg).
+  security::TaintSeeds taint_seeds(const WorkloadSpec& spec,
+                                   const isa::Program& program) const;
 };
 
 class WorkloadRegistry {
@@ -156,11 +160,27 @@ class WorkloadRegistry {
   std::vector<std::unique_ptr<WorkloadGenerator>> gens_;
 };
 
-/// Shared by the built-in harnessed generators (micro.*, synthetic.*):
-/// parse the common harness keys width/iters/secrets, with `secrets` a
-/// 0/1 string ("101") or the shorthands "0"/"1" (all-false/all-true,
-/// the default).
+/// Shared by the harnessed generator and the attacks: parse the common
+/// harness keys width/iters/secrets, with `secrets` a 0/1 string ("101")
+/// or the shorthands "0"/"1" (all-false/all-true, the default).
 HarnessConfig harness_config_from_spec(const WorkloadSpec& spec,
                                        Variant variant);
+
+/// Append the harness keys a spec lacks (width=1, iters=4, secrets=1,
+/// seed=42), echoing the ones it has unchanged.
+void apply_harness_defaults(WorkloadSpec& spec);
+
+/// Resolve `keys` in `spec`, in order: canonical defaulting (see
+/// KernelKey; `zero_is_default_everywhere` makes 0 mean "default" for
+/// every key), then the range check, which throws SimError naming the
+/// workload and the key. The spec gains each absent key at its default.
+KernelArgs resolve_keys(const std::vector<KernelKey>& keys, WorkloadSpec& spec,
+                        bool zero_is_default_everywhere = false);
+
+/// The width x secrets sweep over harnessed rows, in row order: each row
+/// at width {1, 4} x secrets {all-false, all-true}, at `iters` harness
+/// iterations (`sempe_bench synthetic` and `scenarios`).
+std::vector<std::string> row_sweep_specs(const std::vector<HarnessedRow>& rows,
+                                         usize iters);
 
 }  // namespace sempe::workloads

@@ -1,7 +1,6 @@
 #include "workloads/scenarios.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -28,31 +27,31 @@ namespace {
 
 constexpr usize kAesTableWords = 256;
 
-KernelSpec spec_aes(const ScenarioConfig& cfg) {
+KernelSpec spec_aes(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], rounds = args["rounds"];
   KernelSpec s;
-  s.size = cfg.size;
-  s.buf_words = cfg.size;
-  Rng rng(cfg.seed);
-  s.input.reserve(kAesTableWords + cfg.rounds + cfg.size);
-  for (usize j = 0; j < kAesTableWords + cfg.rounds + cfg.size; ++j)
+  s.size = size;
+  s.buf_words = size;
+  Rng rng(seed);
+  s.input.reserve(kAesTableWords + rounds + size);
+  for (usize j = 0; j < kAesTableWords + rounds + size; ++j)
     s.input.push_back(static_cast<i64>(rng.next_u64()));
 
-  std::vector<u64> b(cfg.size);
-  for (usize i = 0; i < cfg.size; ++i)
-    b[i] = static_cast<u64>(s.input[kAesTableWords + cfg.rounds + i]);
-  for (usize r = 0; r < cfg.rounds; ++r) {
+  std::vector<u64> b(size);
+  for (usize i = 0; i < size; ++i)
+    b[i] = static_cast<u64>(s.input[kAesTableWords + rounds + i]);
+  for (usize r = 0; r < rounds; ++r) {
     const u64 rk = static_cast<u64>(s.input[kAesTableWords + r]);
-    for (usize i = 0; i < cfg.size; ++i) {
+    for (usize i = 0; i < size; ++i) {
       const u64 v = b[i];
       const u64 idx = (v ^ rk) & 0xff;
       b[i] = static_cast<u64>(s.input[idx]) + (v >> 8);
     }
   }
   u64 sum = 0;
-  for (usize i = 0; i < cfg.size; ++i) sum += b[i] ^ static_cast<u64>(i);
+  for (usize i = 0; i < size; ++i) sum += b[i] ^ static_cast<u64>(i);
   s.expected = sum;
 
-  const usize size = cfg.size, rounds = cfg.rounds;
   auto body = [size, rounds](ProgramBuilder& pb, const KernelParams& p,
                              bool cte) {
     const Reg tab = k(0), rkp = k(1), rk = k(2), bptr = k(3), n = k(4),
@@ -165,25 +164,26 @@ KernelSpec spec_aes(const ScenarioConfig& cfg) {
 // multiplies and mask-selects, as constant-time RSA implementations do.
 // ---------------------------------------------------------------------------
 
-KernelSpec spec_modexp(const ScenarioConfig& cfg) {
+KernelSpec spec_modexp(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], bits = args["bits"];
   KernelSpec s;
-  s.size = cfg.size;
-  Rng rng(cfg.seed);
+  s.size = size;
+  Rng rng(seed);
   const u64 modulus = (rng.next_u64() >> 34) | (1ull << 30) | 1;
   const u64 exponent =
-      (rng.next_u64() & ((1ull << cfg.bits) - 1)) | 1;  // at least one multiply
+      (rng.next_u64() & ((1ull << bits) - 1)) | 1;  // at least one multiply
   s.input.push_back(static_cast<i64>(modulus));
   s.input.push_back(static_cast<i64>(exponent));
-  std::vector<u64> bases(cfg.size);
+  std::vector<u64> bases(size);
   for (auto& v : bases) {
     v = rng.next_u64() % modulus;
     s.input.push_back(static_cast<i64>(v));
   }
 
   u64 sum = 0;
-  for (usize i = 0; i < cfg.size; ++i) {
+  for (usize i = 0; i < size; ++i) {
     u64 acc = 1;
-    for (usize bi = cfg.bits; bi-- > 0;) {
+    for (usize bi = bits; bi-- > 0;) {
       acc = (acc * acc) % modulus;
       if ((exponent >> bi) & 1) acc = (acc * bases[i]) % modulus;
     }
@@ -191,7 +191,6 @@ KernelSpec spec_modexp(const ScenarioConfig& cfg) {
   }
   s.expected = sum;
 
-  const usize size = cfg.size, bits = cfg.bits;
   auto body = [size, bits](ProgramBuilder& pb, const KernelParams& p,
                            bool cte) {
     const Reg mreg = k(0), e = k(1), bptr = k(2), nb = k(3), b = k(4),
@@ -281,41 +280,41 @@ u64 host_probe(const std::vector<u64>& tab, usize slots, u64 key) {
   }
 }
 
-KernelSpec spec_hash_probe(const ScenarioConfig& cfg) {
+KernelSpec spec_hash_probe(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], slots = args["slots"], fill = args["fill"];
   KernelSpec s;
-  s.size = cfg.size;
-  Rng rng(cfg.seed);
+  s.size = size;
+  Rng rng(seed);
 
   // Build the table host-side; keys are nonzero (0 marks an empty slot)
   // and at least one slot stays empty so every natural probe terminates.
-  std::vector<u64> tab(cfg.slots, 0);
+  std::vector<u64> tab(slots, 0);
   const usize n_ins =
-      std::min(cfg.slots * cfg.fill / 1000, cfg.slots - 1);
+      std::min(slots * fill / 1000, slots - 1);
   std::vector<u64> inserted;
   inserted.reserve(n_ins);
   for (usize i = 0; i < n_ins; ++i) {
     const u64 key = (rng.next_u64() >> 16) | 1;
-    usize idx = host_hash(key, cfg.slots);
-    while (tab[idx] != 0) idx = (idx + 1) & (cfg.slots - 1);
+    usize idx = host_hash(key, slots);
+    while (tab[idx] != 0) idx = (idx + 1) & (slots - 1);
     tab[idx] = key;
     inserted.push_back(key);
   }
-  std::vector<u64> probes(cfg.size);
+  std::vector<u64> probes(size);
   for (auto& key : probes) {
     key = (!inserted.empty() && rng.next_bool())
               ? inserted[rng.next_below(inserted.size())]
               : ((rng.next_u64() >> 16) | 1);
   }
 
-  s.input.reserve(cfg.slots + cfg.size);
+  s.input.reserve(slots + size);
   for (const u64 v : tab) s.input.push_back(static_cast<i64>(v));
   for (const u64 v : probes) s.input.push_back(static_cast<i64>(v));
 
   u64 sum = 0;
-  for (const u64 key : probes) sum += host_probe(tab, cfg.slots, key);
+  for (const u64 key : probes) sum += host_probe(tab, slots, key);
   s.expected = sum;
 
-  const usize size = cfg.size, slots = cfg.slots;
   const i64 mask = static_cast<i64>(slots - 1);
   s.emit = [size, slots, mask](ProgramBuilder& pb, const KernelParams& p) {
     const Reg tabb = k(0), pptr = k(1), np = k(2), kreg = k(3), idx = k(4),
@@ -423,78 +422,35 @@ KernelSpec spec_hash_probe(const ScenarioConfig& cfg) {
   return s;
 }
 
-/// Out-of-range ScenarioKind values fail loudly (see bad_synth_kind).
-[[noreturn]] void bad_scenario_kind(ScenarioKind kd) {
-  SEMPE_CHECK_MSG(false, "out-of-range ScenarioKind value "
-                             << static_cast<int>(static_cast<u8>(kd)));
-  std::abort();  // unreachable: SEMPE_CHECK throws
+KernelKey scenario_size(u64 fallback, const char* help) {
+  return size_key(fallback, 1, 4096, help);
 }
 
 }  // namespace
 
-const std::vector<ScenarioKind>& all_scenario_kinds() {
-  static const std::vector<ScenarioKind> kinds = {
-      ScenarioKind::kAesTtable, ScenarioKind::kModexp,
-      ScenarioKind::kHashProbe};
-  return kinds;
-}
-
-const char* scenario_name(ScenarioKind kd) {
-  switch (kd) {
-    case ScenarioKind::kAesTtable: return "crypto.aes";
-    case ScenarioKind::kModexp: return "crypto.modexp";
-    case ScenarioKind::kHashProbe: return "ds.hash_probe";
-  }
-  bad_scenario_kind(kd);
-}
-
-usize scenario_default_size(ScenarioKind kd) {
-  switch (kd) {
-    case ScenarioKind::kAesTtable: return 8;
-    case ScenarioKind::kModexp: return 16;
-    case ScenarioKind::kHashProbe: return 16;
-  }
-  bad_scenario_kind(kd);
-}
-
-KernelSpec scenario_kernel_spec(const ScenarioConfig& in) {
-  ScenarioConfig cfg = in;
-  if (cfg.size == 0) cfg.size = scenario_default_size(cfg.kind);
-  SEMPE_CHECK_MSG(cfg.size >= 1 && cfg.size <= 4096,
-                  "size out of range [1, 4096]: " << cfg.size);
-  SEMPE_CHECK_MSG(cfg.rounds >= 1 && cfg.rounds <= 16,
-                  "rounds out of range [1, 16]: " << cfg.rounds);
-  SEMPE_CHECK_MSG(cfg.bits >= 1 && cfg.bits <= 63,
-                  "bits out of range [1, 63]: " << cfg.bits);
-  SEMPE_CHECK_MSG(cfg.slots >= 8 && cfg.slots <= 4096 &&
-                      (cfg.slots & (cfg.slots - 1)) == 0,
-                  "slots must be a power of two in [8, 4096]: " << cfg.slots);
-  SEMPE_CHECK_MSG(cfg.fill <= 900,
-                  "fill exceeds 900 per mille: " << cfg.fill);
-
-  KernelSpec s;
-  switch (cfg.kind) {
-    case ScenarioKind::kAesTtable: s = spec_aes(cfg); break;
-    case ScenarioKind::kModexp: s = spec_modexp(cfg); break;
-    case ScenarioKind::kHashProbe: s = spec_hash_probe(cfg); break;
-  }
-  s.name = scenario_name(cfg.kind);
-  return s;
-}
-
-std::vector<std::string> scenario_sweep_specs(usize iters) {
-  std::vector<std::string> specs;
-  for (const ScenarioKind kind : all_scenario_kinds()) {
-    for (const usize w : {usize{1}, usize{4}}) {
-      for (const char* secrets : {"0", "1"}) {
-        specs.push_back(std::string(scenario_name(kind)) +
-                        "?width=" + std::to_string(w) +
-                        "&iters=" + std::to_string(iters) + "&secrets=" +
-                        secrets);
-      }
-    }
-  }
-  return specs;
+const std::vector<HarnessedRow>& scenario_rows() {
+  static const std::vector<HarnessedRow> rows = {
+      {"crypto.aes",
+       "S-box/T-table cipher round passes, the cache-channel victim; CTE "
+       "scans the whole table",
+       {scenario_size(8, "state words per round pass"),
+        {"rounds", 2, 1, 16, "T-table round passes"}},
+       spec_aes},
+      {"crypto.modexp",
+       "square-and-multiply modular exponentiation, the fetch/timing-channel "
+       "victim",
+       {scenario_size(16, "bases exponentiated"),
+        {"bits", 16, 1, 63, "exponent bits per base"}},
+       spec_modexp},
+      {"ds.hash_probe",
+       "open-addressing hash-table probing with data-dependent chain lengths",
+       {scenario_size(16, "probe lookups"),
+        {.name = "slots", .fallback = 64, .min = 8, .max = 4096,
+         .help = "table slots (power of two)", .rule = KeyRule::kPowerOfTwo},
+        {"fill", 750, 0, 900, "occupancy in per mille"}},
+       spec_hash_probe},
+  };
+  return rows;
 }
 
 }  // namespace sempe::workloads

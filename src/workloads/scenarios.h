@@ -23,48 +23,19 @@
 // would have touched (aes), the instructions it would have fetched
 // (modexp), the probe chains it would have walked (hash_probe). SeMPE must
 // close all of them; the audit (security/audit.h) proves it per workload.
+//
+// Each scenario is one HarnessedRow (workloads/harness.h): its kernel keys
+// (`rounds`, `bits`, `slots`, `fill`) and their ranges are declared once
+// there, and the attacks validate their victim knobs against the same row.
 #pragma once
 
 #include "workloads/harness.h"
 
 namespace sempe::workloads {
 
-enum class ScenarioKind : u8 {
-  kAesTtable,
-  kModexp,
-  kHashProbe,
-};
-
-inline constexpr usize kNumScenarioKinds = 3;
-
-/// All kinds, in declaration order (sweep order for sempe_bench scenarios).
-const std::vector<ScenarioKind>& all_scenario_kinds();
-
-/// Full registry name ("crypto.aes", "crypto.modexp", "ds.hash_probe").
-/// CHECK-fails on out-of-range values.
-const char* scenario_name(ScenarioKind k);
-
-struct ScenarioConfig {
-  ScenarioKind kind = ScenarioKind::kAesTtable;
-  usize size = 0;    // main problem size; 0 = scenario_default_size
-  u64 seed = 42;     // input-image seed (keys, tables, probe mix)
-  // Kind-specific knobs (ignored by the other kinds):
-  usize rounds = 2;  // aes: T-table round passes (1..16)
-  usize bits = 16;   // modexp: exponent bits per base (1..63)
-  usize slots = 64;  // hash_probe: table slots, power of two (8..4096)
-  usize fill = 750;  // hash_probe: occupancy in per mille (0..900)
-};
-
-usize scenario_default_size(ScenarioKind k);
-
-/// Build the harness-facing kernel (emitters + input image + host-mirror
-/// checksum) for one parameterization. Throws SimError on out-of-range
-/// parameters.
-KernelSpec scenario_kernel_spec(const ScenarioConfig& cfg);
-
-/// The sempe_bench scenarios sweep: every scenario family x width {1,4} x
-/// secrets {all-false, all-true}, at `iters` harness iterations. Shared
-/// with the golden-file test so the pinned JSON covers the real sweep.
-std::vector<std::string> scenario_sweep_specs(usize iters);
+/// The three scenarios as harnessed rows (workloads/harness.h), in the
+/// order above — the sweep order of `sempe_bench scenarios`, and the
+/// victims the co-residence attacks accept (workloads/attack.h).
+const std::vector<HarnessedRow>& scenario_rows();
 
 }  // namespace sempe::workloads

@@ -1,7 +1,6 @@
 #include "workloads/synthetic.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -33,25 +32,34 @@ std::vector<usize> chase_cycle(usize size, u64 seed) {
   return next;
 }
 
-KernelSpec spec_ptr_chase(const SynthConfig& cfg) {
-  const usize words_per_elem = cfg.stride / 8;
-  const std::vector<usize> next = chase_cycle(cfg.size, cfg.seed);
+/// The largest ptr_chase input image: size x stride bytes are allocated,
+/// then copied into the program's data segment.
+constexpr u64 kMaxChaseBytes = u64{1} << 26;
+
+KernelSpec spec_ptr_chase(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], stride = args["stride"],
+              steps = args["steps"];
+  if (size * stride > kMaxChaseBytes)
+    throw SimError("workload '" + args.workload() + "': size x stride = " +
+                   std::to_string(size * stride) +
+                   " bytes exceeds the 2^26-byte input image cap");
+  const usize words_per_elem = stride / 8;
+  const std::vector<usize> next = chase_cycle(size, seed);
 
   KernelSpec s;
-  s.size = cfg.size;
-  s.input.assign(cfg.size * words_per_elem, 0);
-  for (usize e = 0; e < cfg.size; ++e)
-    s.input[e * words_per_elem] = static_cast<i64>(next[e] * cfg.stride);
+  s.size = size;
+  s.input.assign(size * words_per_elem, 0);
+  for (usize e = 0; e < size; ++e)
+    s.input[e * words_per_elem] = static_cast<i64>(next[e] * stride);
 
   u64 sum = 0;
   usize e = 0;
-  for (usize i = 0; i < cfg.steps; ++i) {
+  for (usize i = 0; i < steps; ++i) {
     e = next[e];
-    sum += static_cast<u64>(e) * cfg.stride;
+    sum += static_cast<u64>(e) * stride;
   }
   s.expected = sum;
 
-  const usize steps = cfg.steps;
   auto body = [steps](ProgramBuilder& pb, const KernelParams& p, bool cte) {
     const Reg base = k(0), off = k(1), n = k(2), a = k(3), sum_r = k(4),
               slot = k(5), old = k(6), scr = k(7);
@@ -83,12 +91,13 @@ KernelSpec spec_ptr_chase(const SynthConfig& cfg) {
 // so it is order-sensitive.
 // ---------------------------------------------------------------------------
 
-KernelSpec spec_stream(const SynthConfig& cfg) {
+KernelSpec spec_stream(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"];
   KernelSpec s;
-  s.size = cfg.size;
-  s.buf_words = cfg.size;
-  Rng rng(cfg.seed);
-  s.input.resize(cfg.size);
+  s.size = size;
+  s.buf_words = size;
+  Rng rng(seed);
+  s.input.resize(size);
   for (auto& v : s.input) v = static_cast<i64>(rng.next_u64() >> 16);
 
   u64 sum = 0, acc = 0;
@@ -98,7 +107,6 @@ KernelSpec spec_stream(const SynthConfig& cfg) {
   }
   s.expected = acc;
 
-  const usize size = cfg.size;
   auto body = [size](ProgramBuilder& pb, const KernelParams& p, bool cte) {
     const Reg src = k(0), dst = k(1), n = k(2), v = k(3), sum_r = k(4),
               acc_r = k(5), slot = k(6), old = k(7), scr = k(8);
@@ -141,14 +149,14 @@ KernelSpec spec_stream(const SynthConfig& cfg) {
 // taken: sum ^= v.
 // ---------------------------------------------------------------------------
 
-KernelSpec spec_cond_branch(const SynthConfig& cfg) {
-  const u64 thr =
-      static_cast<u64>(cfg.taken_permille) * (UINT64_MAX / 1000);
+KernelSpec spec_cond_branch(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"];
+  const u64 thr = args["taken"] * (UINT64_MAX / 1000);
 
   KernelSpec s;
-  s.size = cfg.size;
-  Rng rng(cfg.seed);
-  s.input.resize(cfg.size);
+  s.size = size;
+  Rng rng(seed);
+  s.input.resize(size);
   for (auto& v : s.input) v = static_cast<i64>(rng.next_u64());
 
   u64 sum = 0;
@@ -161,7 +169,6 @@ KernelSpec spec_cond_branch(const SynthConfig& cfg) {
   }
   s.expected = sum;
 
-  const usize size = cfg.size;
   s.emit = [size, thr](ProgramBuilder& pb, const KernelParams& p) {
     const Reg ptr = k(0), n = k(1), v = k(2), c = k(3), sum_r = k(4),
               thr_r = k(5), t = k(6), slot = k(7), old = k(8), scr = k(9);
@@ -228,16 +235,16 @@ KernelSpec spec_cond_branch(const SynthConfig& cfg) {
 i64 ibr_add_const(usize t) { return static_cast<i64>(1 + t * 257); }
 i64 ibr_xor_const(usize t) { return static_cast<i64>((t * 73) & 1023); }
 
-KernelSpec spec_ibr(const SynthConfig& cfg) {
-  const usize T = cfg.targets;
+KernelSpec spec_ibr(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], T = args["targets"];
 
   KernelSpec s;
-  s.size = cfg.size;
-  s.input.reserve(2 * T + cfg.size);
+  s.size = size;
+  s.input.reserve(2 * T + size);
   for (usize t = 0; t < T; ++t) s.input.push_back(ibr_add_const(t));
   for (usize t = 0; t < T; ++t) s.input.push_back(ibr_xor_const(t));
-  Rng rng(cfg.seed);
-  std::vector<usize> seq(cfg.size);
+  Rng rng(seed);
+  std::vector<usize> seq(size);
   for (auto& t : seq) {
     t = rng.next_below(T);
     s.input.push_back(static_cast<i64>(t));
@@ -250,7 +257,6 @@ KernelSpec spec_ibr(const SynthConfig& cfg) {
   }
   s.expected = sum;
 
-  const usize size = cfg.size;
   s.emit = [size, T](ProgramBuilder& pb, const KernelParams& p) {
     const Reg ptr = k(0), n = k(1), t = k(2), o1 = k(3), o2 = k(4),
               ta = k(5), tb = k(6), sum_r = k(7), slot = k(8), old = k(9),
@@ -316,23 +322,24 @@ KernelSpec spec_ibr(const SynthConfig& cfg) {
 
 constexpr u64 kIlpMul = 0x2545f4914f6cdd1dull;  // odd: invertible mod 2^64
 
-KernelSpec spec_ilp(const SynthConfig& cfg) {
+KernelSpec spec_ilp(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"], chains = args["chains"],
+              depth = args["depth"];
   KernelSpec s;
-  s.size = cfg.size;
-  Rng rng(cfg.seed);
-  std::vector<u64> init(cfg.chains);
+  s.size = size;
+  Rng rng(seed);
+  std::vector<u64> init(chains);
   for (auto& x : init) x = rng.next_u64();
 
   std::vector<u64> x = init;
-  for (usize i = 0; i < cfg.size; ++i)
-    for (usize c = 0; c < cfg.chains; ++c)
-      for (usize d = 0; d < cfg.depth; ++d)
+  for (usize i = 0; i < size; ++i)
+    for (usize c = 0; c < chains; ++c)
+      for (usize d = 0; d < depth; ++d)
         x[c] = x[c] * kIlpMul + static_cast<u64>(17 * (c + 1) + d);
   u64 sum = 0;
   for (const u64 v : x) sum ^= v;
   s.expected = sum;
 
-  const usize size = cfg.size, chains = cfg.chains, depth = cfg.depth;
   auto body = [size, chains, depth, init](ProgramBuilder& pb,
                                           const KernelParams& p, bool cte) {
     const Reg mul = k(8), n = k(9), sum_r = k(10), slot = k(11), old = k(12),
@@ -372,23 +379,23 @@ KernelSpec spec_ilp(const SynthConfig& cfg) {
 // an order-sensitive accumulate — a mixed stressor for secure regions.
 // ---------------------------------------------------------------------------
 
-KernelSpec spec_secret_mix(const SynthConfig& cfg) {
+KernelSpec spec_secret_mix(const KernelArgs& args, u64 seed) {
+  const usize size = args["size"];
   KernelSpec s;
-  s.size = cfg.size;
-  s.buf_words = cfg.size;
-  Rng rng(cfg.seed);
-  s.input.resize(cfg.size);
+  s.size = size;
+  s.buf_words = size;
+  Rng rng(seed);
+  s.input.resize(size);
   for (auto& v : s.input) v = static_cast<i64>(rng.next_below(1u << 16));
 
   u64 sum = 0;
-  for (usize i = 0; i < cfg.size; ++i) {
+  for (usize i = 0; i < size; ++i) {
     u64 v = static_cast<u64>(s.input[i]);
     v = (v & 1) ? 5 * v + 13 : (v ^ 0x2a5) * 3;
     sum += v ^ static_cast<u64>(i);
   }
   s.expected = sum;
 
-  const usize size = cfg.size;
   s.emit = [size](ProgramBuilder& pb, const KernelParams& p) {
     const Reg ptr = k(0), buf = k(1), n = k(2), idx = k(3), v = k(4),
               c = k(5), t = k(6), sum_r = k(7), slot = k(8), old = k(9),
@@ -463,83 +470,45 @@ KernelSpec spec_secret_mix(const SynthConfig& cfg) {
   return s;
 }
 
-}  // namespace
+// Default steps sit just off the whole-lap boundary: over whole laps the
+// visited-offset sum is permutation-invariant, which would blind the
+// end-to-end checksum to chase-order regressions.
+u64 chase_steps(const KernelArgs& earlier) { return 2 * earlier["size"] + 1; }
 
-namespace {
-
-/// Out-of-range SynthKind values fail loudly (see kernels.cpp bad_kind).
-[[noreturn]] void bad_synth_kind(SynthKind kd) {
-  SEMPE_CHECK_MSG(false, "out-of-range SynthKind value "
-                             << static_cast<int>(static_cast<u8>(kd)));
-  std::abort();  // unreachable: SEMPE_CHECK throws
+KernelKey synth_size(u64 fallback) {
+  return size_key(fallback, 2, 1u << 20,
+                  "elements / steps per kernel execution");
 }
 
 }  // namespace
 
-const std::vector<SynthKind>& all_synth_kinds() {
-  static const std::vector<SynthKind> kinds = {
-      SynthKind::kPtrChase,  SynthKind::kStream,   SynthKind::kCondBranch,
-      SynthKind::kIndirect,  SynthKind::kIlpChain, SynthKind::kSecretMix};
-  return kinds;
-}
-
-const char* synth_name(SynthKind kd) {
-  switch (kd) {
-    case SynthKind::kPtrChase: return "ptr_chase";
-    case SynthKind::kStream: return "stream";
-    case SynthKind::kCondBranch: return "cond_branch";
-    case SynthKind::kIndirect: return "ibr";
-    case SynthKind::kIlpChain: return "ilp";
-    case SynthKind::kSecretMix: return "secret_mix";
-  }
-  bad_synth_kind(kd);
-}
-
-usize synth_default_size(SynthKind kd) {
-  switch (kd) {
-    case SynthKind::kPtrChase: return 256;
-    case SynthKind::kStream: return 1024;
-    case SynthKind::kCondBranch: return 2048;
-    case SynthKind::kIndirect: return 512;
-    case SynthKind::kIlpChain: return 256;
-    case SynthKind::kSecretMix: return 512;
-  }
-  bad_synth_kind(kd);
-}
-
-KernelSpec synth_kernel_spec(const SynthConfig& in) {
-  SynthConfig cfg = in;
-  if (cfg.size == 0) cfg.size = synth_default_size(cfg.kind);
-  // Default steps sit just off the whole-lap boundary: over whole laps the
-  // visited-offset sum is permutation-invariant, which would blind the
-  // end-to-end checksum to chase-order regressions.
-  if (cfg.steps == 0) cfg.steps = 2 * cfg.size + 1;
-  SEMPE_CHECK_MSG(cfg.size >= 2 && cfg.size <= (1u << 20),
-                  "size out of range [2, 2^20]: " << cfg.size);
-  SEMPE_CHECK_MSG(cfg.stride >= 8 && cfg.stride <= 4096 && cfg.stride % 8 == 0,
-                  "stride must be a multiple of 8 in [8, 4096]: "
-                      << cfg.stride);
-  SEMPE_CHECK_MSG(cfg.steps <= (1u << 22), "steps out of range: " << cfg.steps);
-  SEMPE_CHECK_MSG(cfg.taken_permille <= 1000,
-                  "taken ratio exceeds 1000 per mille: " << cfg.taken_permille);
-  SEMPE_CHECK_MSG(cfg.targets >= 2 && cfg.targets <= 64,
-                  "targets out of range [2, 64]: " << cfg.targets);
-  SEMPE_CHECK_MSG(cfg.chains >= 1 && cfg.chains <= 8,
-                  "chains out of range [1, 8]: " << cfg.chains);
-  SEMPE_CHECK_MSG(cfg.depth >= 1 && cfg.depth <= 64,
-                  "depth out of range [1, 64]: " << cfg.depth);
-
-  KernelSpec s;
-  switch (cfg.kind) {
-    case SynthKind::kPtrChase: s = spec_ptr_chase(cfg); break;
-    case SynthKind::kStream: s = spec_stream(cfg); break;
-    case SynthKind::kCondBranch: s = spec_cond_branch(cfg); break;
-    case SynthKind::kIndirect: s = spec_ibr(cfg); break;
-    case SynthKind::kIlpChain: s = spec_ilp(cfg); break;
-    case SynthKind::kSecretMix: s = spec_secret_mix(cfg); break;
-  }
-  s.name = std::string("synthetic.") + synth_name(cfg.kind);
-  return s;
+const std::vector<HarnessedRow>& synthetic_rows() {
+  static const std::vector<HarnessedRow> rows = {
+      {"synthetic.ptr_chase", "pointer-chase memory-latency kernel",
+       {synth_size(256),
+        {.name = "stride", .fallback = 64, .min = 8, .max = 4096,
+         .help = "element spacing in bytes", .rule = KeyRule::kMultipleOf8},
+        {.name = "steps", .fallback = 0, .min = 1, .max = 1u << 22,
+         .help = "chase length (0 = 2*size+1)", .zero_is_default = true,
+         .derive = chase_steps}},
+       spec_ptr_chase},
+      {"synthetic.stream", "streaming bandwidth kernel", {synth_size(1024)},
+       spec_stream},
+      {"synthetic.cond_branch", "conditional branches, tunable taken ratio",
+       {synth_size(2048), {"taken", 500, 0, 1000, "P(taken) in per mille"}},
+       spec_cond_branch},
+      {"synthetic.ibr", "indirect-branch target-pool stress",
+       {synth_size(512), {"targets", 8, 2, 64, "indirect target pool size"}},
+       spec_ibr},
+      {"synthetic.ilp", "ILP dependence chains",
+       {synth_size(256),
+        {"chains", 4, 1, 8, "independent dependence chains"},
+        {"depth", 8, 1, 64, "dependent ops per chain per step"}},
+       spec_ilp},
+      {"synthetic.secret_mix", "mixed secret-region stressor",
+       {synth_size(512)}, spec_secret_mix},
+  };
+  return rows;
 }
 
 }  // namespace sempe::workloads

@@ -1,7 +1,7 @@
 // Parameterized synthetic kernel family, in the spirit of scarab's
 // synthetic bottleneck dispatcher: each kernel stresses one machine
-// resource, with knobs exposed through the workload registry's
-// `synthetic.<kernel>?key=val` spec grammar.
+// resource. Each is one HarnessedRow (workloads/harness.h) whose keys the
+// registry exposes through the `synthetic.<kernel>?key=val` spec grammar.
 //
 //   ptr_chase   — dependent-load pointer chase over a shuffled cycle of
 //                 `size` elements spaced `stride` bytes apart: memory
@@ -26,43 +26,9 @@
 
 namespace sempe::workloads {
 
-enum class SynthKind : u8 {
-  kPtrChase,
-  kStream,
-  kCondBranch,
-  kIndirect,
-  kIlpChain,
-  kSecretMix,
-};
-
-inline constexpr usize kNumSynthKinds = 6;
-
-/// All kinds, in declaration order (sweep order for sempe_bench synthetic).
-const std::vector<SynthKind>& all_synth_kinds();
-
-/// Registry-facing kernel name ("ptr_chase", "stream", ...). CHECK-fails
-/// on out-of-range values.
-const char* synth_name(SynthKind k);
-
-struct SynthConfig {
-  SynthKind kind = SynthKind::kPtrChase;
-  usize size = 0;           // elements / steps; 0 = synth_default_size
-  u64 seed = 42;            // input-image seed
-  // Kind-specific knobs (ignored by the other kinds):
-  usize stride = 64;        // ptr_chase: element spacing in bytes (mult. of 8)
-  usize steps = 0;          // ptr_chase: chase length; 0 = 2*size+1 (the +1
-                            // keeps the checksum chase-order sensitive)
-  u32 taken_permille = 500; // cond_branch: P(taken) in per mille
-  usize targets = 8;        // ibr: indirect target pool size (2..64)
-  usize chains = 4;         // ilp: independent chains (1..8)
-  usize depth = 8;          // ilp: dependent ops per chain per step (1..64)
-};
-
-usize synth_default_size(SynthKind k);
-
-/// Build the harness-facing kernel (emitters + input image + host-mirror
-/// checksum) for one parameterization. Throws SimError on out-of-range
-/// parameters.
-KernelSpec synth_kernel_spec(const SynthConfig& cfg);
+/// The six kernels as harnessed rows (`synthetic.<kernel>`), in the order
+/// above — the sweep order of `sempe_bench synthetic`. ptr_chase rejects a
+/// size x stride input image above 2^26 bytes.
+const std::vector<HarnessedRow>& synthetic_rows();
 
 }  // namespace sempe::workloads

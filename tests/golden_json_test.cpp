@@ -23,6 +23,7 @@
 #include "sim/batch_runner.h"
 #include "sim/job_key.h"
 #include "sim/sweep_codec.h"
+#include "workloads/registry.h"
 #include "workloads/scenarios.h"
 
 namespace sempe::sim {
@@ -172,11 +173,12 @@ TEST(GoldenJson, BenchTenantsSchemaIsPinned) {
 }
 
 TEST(GoldenJson, BenchScenariosByteIdenticalAcrossThreadsAndPinned) {
-  // The exact sweep sempe_bench scenarios fans out (workloads/scenarios.h), so
+  // The exact sweep sempe_bench scenarios fans out (workloads/registry.h), so
   // the golden file covers the real sweep and the --threads byte-identity
   // guarantee is asserted here, not just in CI.
-  const auto jobs =
-      workload_grid(workloads::scenario_sweep_specs(1), MachineOptions{});
+  const auto jobs = workload_grid(
+      workloads::row_sweep_specs(workloads::scenario_rows(), 1),
+      MachineOptions{});
   const auto run1 = run_sweep<WorkloadFamily>(jobs, on_threads(1));
   const std::string j1 = sweep_json<WorkloadFamily>("scenarios", jobs, run1);
   const std::string j4 = sweep_json<WorkloadFamily>(

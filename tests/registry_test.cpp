@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "workloads/registry.h"
+#include "workloads/scenarios.h"
+#include "workloads/synthetic.h"
 
 namespace sempe::workloads {
 namespace {
@@ -91,6 +95,101 @@ TEST(WorkloadRegistry, TakenRatioNotTruncatedBeforeRangeCheck) {
   EXPECT_THROW(
       reg().build("synthetic.cond_branch?taken=1001", Variant::kSecure),
       SimError);
+}
+
+TEST(WorkloadRegistry, PtrChaseFootprintRejectedBeforeAllocation) {
+  // size and stride are each in range, but the size x stride input image
+  // would be 4 GiB (and 2^27 bytes just past the cap); the spec-level
+  // check must fire before anything is allocated.
+  for (const char* spec :
+       {"synthetic.ptr_chase?size=1048576&stride=4096&iters=1",
+        "synthetic.ptr_chase?size=262145&stride=256&iters=1"}) {
+    try {
+      reg().build(spec, Variant::kSecure);
+      ADD_FAILURE() << spec << " should have been rejected";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("workload 'synthetic.ptr_chase'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// The SimError message building `spec` throws ("" when it builds).
+std::string build_error(const std::string& spec) {
+  try {
+    reg().build(spec, Variant::kSecure);
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WorkloadRegistry, RangeErrorNamesTheWorkloadAndTheKey) {
+  EXPECT_EQ(build_error("synthetic.ibr?targets=1"),
+            "workload 'synthetic.ibr': targets=1 out of range [2, 64]");
+  EXPECT_EQ(build_error("crypto.modexp?bits=64"),
+            "workload 'crypto.modexp': bits=64 out of range [1, 63]");
+  EXPECT_EQ(build_error("ds.hash_probe?slots=48"),
+            "workload 'ds.hash_probe': slots=48 is not a power of two");
+  EXPECT_EQ(
+      build_error("attack.prime_probe?victim=crypto.modexp&size=99999"),
+      "workload 'attack.prime_probe': size=99999 out of range [1, 4096]");
+}
+
+TEST(WorkloadRegistry, VariantAndFlatHarnessLimitsNameTheWorkload) {
+  // CTE queens supports N in [2, 8] only; the natural build takes [1, 12].
+  EXPECT_NO_THROW(reg().build("micro.queens?size=9&iters=1", Variant::kSecure));
+  try {
+    reg().build("micro.queens?size=9&iters=1", Variant::kCte);
+    ADD_FAILURE() << "CTE queens at size=9 should have been rejected";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "workload 'micro.queens': size=9 out of range [2, 8] for the "
+              "CTE variant");
+  }
+  EXPECT_NE(build_error("attack.prime_probe?width=0&iters=1")
+                .find("workload 'attack.prime_probe': width=0"),
+            std::string::npos);
+}
+
+// Every ranged key of every harnessed row, and every victim knob of the
+// attacks: max+1 — and min-1 where that is not a zero-means-default value,
+// and min+1 where a rule narrows the range — must throw a SimError naming
+// both the workload and the key.
+TEST(WorkloadRegistry, EveryRangedKeyRejectsOutOfRangeValues) {
+  const auto expect_named = [](const std::string& workload,
+                               const std::string& key,
+                               const std::string& spec) {
+    const std::string msg = build_error(spec);
+    EXPECT_NE(msg.find("workload '" + workload + "'"), std::string::npos)
+        << spec << ": " << msg;
+    EXPECT_NE(msg.find(key + "="), std::string::npos) << spec << ": " << msg;
+  };
+  usize checked = 0;
+  for (const auto* rows :
+       {&micro_rows(), &synthetic_rows(), &scenario_rows()}) {
+    for (const HarnessedRow& row : *rows) {
+      for (const KernelKey& key : row.keys) {
+        std::vector<u64> bad = {key.max + 1};
+        if (key.min > 0 && !key.zero_is_default) bad.push_back(key.min - 1);
+        if (key.rule != KeyRule::kRange) bad.push_back(key.min + 1);
+        for (const u64 v : bad) {
+          const std::string kv =
+              std::string(key.name) + "=" + std::to_string(v);
+          expect_named(row.name, key.name,
+                       std::string(row.name) + "?" + kv + "&iters=1");
+          // In the attacks every victim knob takes 0 as "default".
+          if (rows == &scenario_rows() && v != 0)
+            expect_named("attack.prime_probe", key.name,
+                         std::string("attack.prime_probe?victim=") + row.name +
+                             "&" + kv + "&iters=1");
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 20u);
 }
 
 TEST(WorkloadRegistry, AllBuiltinsRegistered) {
@@ -182,6 +281,7 @@ TEST(WorkloadRegistry, DuplicateRegistrationThrows) {
    public:
     std::string name() const override { return "djpeg"; }
     std::string summary() const override { return ""; }
+    std::vector<ParamInfo> params() const override { return {}; }
     BuiltWorkload build(const WorkloadSpec&, Variant) const override {
       return {};
     }
@@ -207,6 +307,47 @@ TEST(WorkloadRegistry, BadSecretsStringsThrow) {
 // that spec parses, re-serializes unchanged, and rebuilds into the same
 // workload.
 TEST(WorkloadRegistry, EveryGeneratorRoundTripsItsCanonicalSpec) {
+  // The canonical text of each seed spec below, pinned so key order and
+  // defaulting cannot drift: the user's keys keep their place, then every
+  // absent key follows in canonical order.
+  const std::map<std::string, std::string> canonical = {
+      {"attack.flush_reload",
+       "attack.flush_reload?size=16&iters=2&victim=crypto.modexp&bits=16&"
+       "set_bits=4&quantum=2000&passes=0&width=1&secrets=1&seed=42"},
+      {"attack.prime_probe",
+       "attack.prime_probe?size=16&iters=2&victim=crypto.modexp&bits=16&"
+       "set_bits=4&quantum=2000&passes=0&width=1&secrets=1&seed=42"},
+      {"crypto.aes",
+       "crypto.aes?size=16&iters=2&rounds=2&width=1&secrets=1&seed=42"},
+      {"crypto.modexp",
+       "crypto.modexp?size=16&iters=2&bits=16&width=1&secrets=1&seed=42"},
+      {"djpeg", "djpeg?scale=64&format=ppm&pixels=262144&seed=1"},
+      {"ds.hash_probe",
+       "ds.hash_probe?size=16&iters=2&slots=64&fill=750&width=1&secrets=1&"
+       "seed=42"},
+      {"micro.fibonacci",
+       "micro.fibonacci?size=6&iters=2&width=1&secrets=1&seed=42"},
+      {"micro.ones", "micro.ones?size=6&iters=2&width=1&secrets=1&seed=42"},
+      {"micro.queens", "micro.queens?size=6&iters=2&width=1&secrets=1&seed=42"},
+      {"micro.quicksort",
+       "micro.quicksort?size=6&iters=2&width=1&secrets=1&seed=42"},
+      {"synthetic.cond_branch",
+       "synthetic.cond_branch?size=16&iters=2&taken=500&width=1&secrets=1&"
+       "seed=42"},
+      {"synthetic.ibr",
+       "synthetic.ibr?size=16&iters=2&targets=8&width=1&secrets=1&seed=42"},
+      {"synthetic.ilp",
+       "synthetic.ilp?size=16&iters=2&chains=4&depth=8&width=1&secrets=1&"
+       "seed=42"},
+      {"synthetic.ptr_chase",
+       "synthetic.ptr_chase?size=16&iters=2&stride=64&steps=33&width=1&"
+       "secrets=1&seed=42"},
+      {"synthetic.secret_mix",
+       "synthetic.secret_mix?size=16&iters=2&width=1&secrets=1&seed=42"},
+      {"synthetic.stream",
+       "synthetic.stream?size=16&iters=2&width=1&secrets=1&seed=42"},
+  };
+  EXPECT_EQ(canonical.size(), reg().names().size());
   for (const std::string& name : reg().names()) {
     // Small overrides so the heavyweight generators stay test-sized.
     std::string seed_spec = name;
@@ -215,7 +356,8 @@ TEST(WorkloadRegistry, EveryGeneratorRoundTripsItsCanonicalSpec) {
     else seed_spec += "?size=16&iters=2";
 
     const BuiltWorkload a = reg().build(seed_spec, Variant::kSecure);
-    EXPECT_NE(a.spec, seed_spec) << name << ": defaults were not resolved";
+    ASSERT_EQ(canonical.count(name), 1u) << name;
+    EXPECT_EQ(a.spec, canonical.at(name));
 
     const WorkloadSpec parsed = WorkloadSpec::parse(a.spec);
     EXPECT_EQ(parsed.name, name);

@@ -6,7 +6,9 @@
 // indistinguishable on every channel.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "security/audit.h"
 #include "sim/simulator.h"
@@ -19,14 +21,19 @@ namespace {
 WorkloadRegistry& reg() { return WorkloadRegistry::instance(); }
 
 /// Test-sized parameterization of one scenario kernel.
-std::string small_spec(ScenarioKind kind, const std::string& extra) {
-  std::string s = scenario_name(kind);
-  switch (kind) {
-    case ScenarioKind::kAesTtable: s += "?size=4&rounds=1"; break;
-    case ScenarioKind::kModexp: s += "?size=4&bits=8"; break;
-    case ScenarioKind::kHashProbe: s += "?size=8&slots=32"; break;
-  }
-  return s + "&iters=2" + extra;
+std::string small_spec(const std::string& name, const std::string& extra) {
+  const std::map<std::string, std::string> knobs = {
+      {"crypto.aes", "?size=4&rounds=1"},
+      {"crypto.modexp", "?size=4&bits=8"},
+      {"ds.hash_probe", "?size=8&slots=32"},
+  };
+  return name + knobs.at(name) + "&iters=2" + extra;
+}
+
+std::vector<std::string> row_names() {
+  std::vector<std::string> out;
+  for (const HarnessedRow& row : scenario_rows()) out.push_back(row.name);
+  return out;
 }
 
 sim::FunctionalResult run_wl(const BuiltWorkload& b, cpu::ExecMode mode) {
@@ -34,7 +41,7 @@ sim::FunctionalResult run_wl(const BuiltWorkload& b, cpu::ExecMode mode) {
                              b.num_results);
 }
 
-class ScenarioAllKinds : public ::testing::TestWithParam<ScenarioKind> {};
+class ScenarioAllKinds : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ScenarioAllKinds, SameSeedSameChecksumAndProgram) {
   const std::string spec = small_spec(GetParam(), "&seed=7");
@@ -51,7 +58,7 @@ TEST_P(ScenarioAllKinds, DifferentSeedDifferentChecksum) {
   const BuiltWorkload a = reg().build(base + "&seed=7", Variant::kSecure);
   const BuiltWorkload b = reg().build(base + "&seed=8", Variant::kSecure);
   EXPECT_NE(a.expected_results, b.expected_results)
-      << scenario_name(GetParam());
+      << GetParam();
 }
 
 TEST_P(ScenarioAllKinds, LegacyAndSempeAgreeOnArchitecturalResults) {
@@ -62,9 +69,9 @@ TEST_P(ScenarioAllKinds, LegacyAndSempeAgreeOnArchitecturalResults) {
     const auto legacy = run_wl(b, cpu::ExecMode::kLegacy);
     const auto sempe = run_wl(b, cpu::ExecMode::kSempe);
     EXPECT_EQ(legacy.probed, b.expected_results)
-        << scenario_name(GetParam()) << " legacy " << secrets;
+        << GetParam() << " legacy " << secrets;
     EXPECT_EQ(sempe.probed, b.expected_results)
-        << scenario_name(GetParam()) << " sempe " << secrets;
+        << GetParam() << " sempe " << secrets;
   }
 }
 
@@ -75,7 +82,7 @@ TEST_P(ScenarioAllKinds, CteVariantCorrectAcrossSecrets) {
         Variant::kCte);
     const auto r = run_wl(b, cpu::ExecMode::kLegacy);
     EXPECT_EQ(r.probed, b.expected_results)
-        << scenario_name(GetParam()) << " cte " << secrets;
+        << GetParam() << " cte " << secrets;
   }
 }
 
@@ -89,15 +96,14 @@ TEST_P(ScenarioAllKinds, CteInstructionCountSecretIndependent) {
     counts[i++] =
         sim::run_functional(b.program, cpu::ExecMode::kLegacy).instructions;
   }
-  EXPECT_EQ(counts[0], counts[1]) << scenario_name(GetParam());
+  EXPECT_EQ(counts[0], counts[1]) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, ScenarioAllKinds,
-    ::testing::Values(ScenarioKind::kAesTtable, ScenarioKind::kModexp,
-                      ScenarioKind::kHashProbe),
+    ::testing::ValuesIn(row_names()),
     [](const auto& info) {
-      std::string n = scenario_name(info.param);
+      std::string n = info.param;
       for (char& c : n)
         if (c == '.') c = '_';
       return n;
@@ -148,14 +154,9 @@ TEST(Scenarios, OutOfRangeParametersThrow) {
                SimError);  // unknown key
 }
 
-TEST(Scenarios, OutOfRangeScenarioKindChecks) {
-  EXPECT_THROW(scenario_name(static_cast<ScenarioKind>(99)), SimError);
-  EXPECT_THROW(scenario_default_size(static_cast<ScenarioKind>(99)), SimError);
-}
-
 TEST(Scenarios, SweepSpecsCoverEveryFamilyAndParse) {
-  const auto specs = scenario_sweep_specs(3);
-  EXPECT_EQ(specs.size(), kNumScenarioKinds * 2 * 2);
+  const auto specs = row_sweep_specs(scenario_rows(), 3);
+  EXPECT_EQ(specs.size(), scenario_rows().size() * 2 * 2);
   for (const std::string& s : specs) {
     const WorkloadSpec parsed = WorkloadSpec::parse(s);
     EXPECT_NE(reg().find(parsed.name), nullptr) << s;

@@ -3,7 +3,9 @@
 // and CTE correctness/constant-instruction-count, for every kernel.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "workloads/registry.h"
@@ -14,19 +16,24 @@ namespace {
 
 WorkloadRegistry& reg() { return WorkloadRegistry::instance(); }
 
-/// Test-sized parameterization of one kernel (kind-specific knobs left at
-/// their defaults except where smaller values keep runs fast).
-std::string small_spec(SynthKind kind, const std::string& extra) {
-  std::string s = std::string("synthetic.") + synth_name(kind);
-  switch (kind) {
-    case SynthKind::kPtrChase: s += "?size=16&steps=32"; break;
-    case SynthKind::kStream: s += "?size=32"; break;
-    case SynthKind::kCondBranch: s += "?size=48"; break;
-    case SynthKind::kIndirect: s += "?size=32&targets=4"; break;
-    case SynthKind::kIlpChain: s += "?size=8&chains=2&depth=4"; break;
-    case SynthKind::kSecretMix: s += "?size=32"; break;
-  }
-  return s + "&iters=2" + extra;
+/// Test-sized parameterization of one kernel (kernel knobs left at their
+/// defaults except where smaller values keep runs fast).
+std::string small_spec(const std::string& name, const std::string& extra) {
+  const std::map<std::string, std::string> knobs = {
+      {"synthetic.ptr_chase", "?size=16&steps=32"},
+      {"synthetic.stream", "?size=32"},
+      {"synthetic.cond_branch", "?size=48"},
+      {"synthetic.ibr", "?size=32&targets=4"},
+      {"synthetic.ilp", "?size=8&chains=2&depth=4"},
+      {"synthetic.secret_mix", "?size=32"},
+  };
+  return name + knobs.at(name) + "&iters=2" + extra;
+}
+
+std::vector<std::string> row_names() {
+  std::vector<std::string> out;
+  for (const HarnessedRow& row : synthetic_rows()) out.push_back(row.name);
+  return out;
 }
 
 sim::FunctionalResult run_wl(const BuiltWorkload& b, cpu::ExecMode mode) {
@@ -34,7 +41,7 @@ sim::FunctionalResult run_wl(const BuiltWorkload& b, cpu::ExecMode mode) {
                              b.num_results);
 }
 
-class SyntheticAllKinds : public ::testing::TestWithParam<SynthKind> {};
+class SyntheticAllKinds : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SyntheticAllKinds, SameSeedSameChecksumAndProgram) {
   const std::string spec = small_spec(GetParam(), "&seed=7");
@@ -51,12 +58,12 @@ TEST_P(SyntheticAllKinds, DifferentSeedDifferentChecksum) {
   // cycle laps is permutation- (hence seed-) invariant, so take the kernel
   // off the lap boundary (steps not a multiple of size) for this check.
   const std::string base =
-      GetParam() == SynthKind::kPtrChase
+      GetParam() == "synthetic.ptr_chase"
           ? std::string("synthetic.ptr_chase?size=16&steps=37&iters=2")
           : small_spec(GetParam(), "");
   const BuiltWorkload a = reg().build(base + "&seed=7", Variant::kSecure);
   const BuiltWorkload b = reg().build(base + "&seed=8", Variant::kSecure);
-  EXPECT_NE(a.expected_results, b.expected_results) << synth_name(GetParam());
+  EXPECT_NE(a.expected_results, b.expected_results) << GetParam();
 }
 
 TEST_P(SyntheticAllKinds, LegacyAndSempeAgreeOnArchitecturalResults) {
@@ -67,9 +74,9 @@ TEST_P(SyntheticAllKinds, LegacyAndSempeAgreeOnArchitecturalResults) {
     const auto legacy = run_wl(b, cpu::ExecMode::kLegacy);
     const auto sempe = run_wl(b, cpu::ExecMode::kSempe);
     EXPECT_EQ(legacy.probed, b.expected_results)
-        << synth_name(GetParam()) << " legacy " << secrets;
+        << GetParam() << " legacy " << secrets;
     EXPECT_EQ(sempe.probed, b.expected_results)
-        << synth_name(GetParam()) << " sempe " << secrets;
+        << GetParam() << " sempe " << secrets;
   }
 }
 
@@ -80,7 +87,7 @@ TEST_P(SyntheticAllKinds, CteVariantCorrectAcrossSecrets) {
         Variant::kCte);
     const auto r = run_wl(b, cpu::ExecMode::kLegacy);
     EXPECT_EQ(r.probed, b.expected_results)
-        << synth_name(GetParam()) << " cte " << secrets;
+        << GetParam() << " cte " << secrets;
   }
 }
 
@@ -94,15 +101,14 @@ TEST_P(SyntheticAllKinds, CteInstructionCountSecretIndependent) {
     counts[i++] =
         sim::run_functional(b.program, cpu::ExecMode::kLegacy).instructions;
   }
-  EXPECT_EQ(counts[0], counts[1]) << synth_name(GetParam());
+  EXPECT_EQ(counts[0], counts[1]) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Kinds, SyntheticAllKinds,
-    ::testing::Values(SynthKind::kPtrChase, SynthKind::kStream,
-                      SynthKind::kCondBranch, SynthKind::kIndirect,
-                      SynthKind::kIlpChain, SynthKind::kSecretMix),
-    [](const auto& info) { return std::string(synth_name(info.param)); });
+    Kinds, SyntheticAllKinds, ::testing::ValuesIn(row_names()),
+    [](const auto& info) {
+      return info.param.substr(std::string("synthetic.").size());
+    });
 
 TEST(Synthetic, CondBranchTakenRatioExtremesAreCorrect) {
   for (const char* taken : {"0", "1000", "250"}) {
@@ -138,11 +144,6 @@ TEST(Synthetic, OutOfRangeParametersThrow) {
                SimError);
   EXPECT_THROW(reg().build("synthetic.stream?size=1", Variant::kSecure),
                SimError);
-}
-
-TEST(Synthetic, OutOfRangeSynthKindChecks) {
-  EXPECT_THROW(synth_name(static_cast<SynthKind>(99)), SimError);
-  EXPECT_THROW(synth_default_size(static_cast<SynthKind>(99)), SimError);
 }
 
 }  // namespace
